@@ -101,14 +101,19 @@ def reverse_postorder(f: Function) -> list[BlockId]:
     return order
 
 
-def dominators(f: Function) -> dict[BlockId, BlockId]:
-    """Immediate dominators via fixed-point iteration over reverse postorder.
+def dominators(
+    f: Function,
+    rpo: list[BlockId] | None = None,
+    preds: dict[BlockId, list[BlockId]] | None = None,
+) -> dict[BlockId, BlockId]:
+    """Immediate dominators via fixed-point iteration over reverse postorder
+    (Cooper, Harvey and Kennedy). Pass `rpo` and `preds` when already known.
 
     The entry block maps to itself.
     """
-    rpo = reverse_postorder(f)
+    rpo = rpo if rpo is not None else reverse_postorder(f)
+    preds = preds if preds is not None else predecessors(f)
     index = {bid: i for i, bid in enumerate(rpo)}
-    preds = predecessors(f)
     idom: dict[BlockId, BlockId] = {f.entry: f.entry}
 
     def intersect(u: BlockId, v: BlockId) -> BlockId:
@@ -147,11 +152,35 @@ def dominates(idom: dict[BlockId, BlockId], a: BlockId, b: BlockId) -> bool:
 def find_back_edges(f: Function) -> set[tuple[BlockId, BlockId]]:
     """Every edge whose target dominates its source.
 
-    Raises IrreducibleError if some retreating DFS edge is not such a back
-    edge, naming the offending edge.
+    Raises IrreducibleError if some retreating edge is not such a back edge,
+    naming the offending edge.
     """
-    idom = dominators(f)
+    return Analyses.compute(f).back_edges
 
+
+def _back_edges(
+    f: Function, rpo: list[BlockId], idom: dict[BlockId, BlockId]
+) -> set[tuple[BlockId, BlockId]]:
+    """Back edges read off reverse postorder: an edge is retreating when its
+    target's index is at most its source's, and every retreating edge of a
+    reducible graph targets a dominator of its source."""
+    index = {bid: i for i, bid in enumerate(rpo)}
+    edges = set()
+    for src in rpo:
+        for dst in successors(f, src):
+            if index[dst] <= index[src]:
+                if not dominates(idom, dst, src):
+                    raise IrreducibleError(_dfs_irreducible_edge(f, idom) or (src, dst))
+                edges.add((src, dst))
+    return edges
+
+
+def _dfs_irreducible_edge(
+    f: Function, idom: dict[BlockId, BlockId]
+) -> tuple[BlockId, BlockId] | None:
+    """The first retreating edge of a terminator-order DFS that does not
+    target a dominator. Run only once the graph is known to be irreducible,
+    so error messages name the same edge whatever the RPO tie-breaking."""
     on_stack = {f.entry}
     visited = {f.entry}
     stack: list[tuple[BlockId, list[BlockId]]] = [(f.entry, successors(f, f.entry))]
@@ -160,7 +189,7 @@ def find_back_edges(f: Function) -> set[tuple[BlockId, BlockId]]:
         while pending:
             nxt = pending.pop(0)
             if nxt in on_stack and not dominates(idom, nxt, bid):
-                raise IrreducibleError((bid, nxt))
+                return bid, nxt
             if nxt not in visited:
                 visited.add(nxt)
                 on_stack.add(nxt)
@@ -169,25 +198,25 @@ def find_back_edges(f: Function) -> set[tuple[BlockId, BlockId]]:
         else:
             on_stack.discard(bid)
             stack.pop()
-
-    edges = set()
-    for b in f.blocks:
-        for target, _ in terminator_targets(b.terminator):
-            if dominates(idom, target, b.id):
-                edges.add((b.id, target))
-    return edges
+    return None
 
 
 def natural_loop(f: Function, back_edge: tuple[BlockId, BlockId]) -> LoopRegion:
     """The loop of the given back edge; all back edges into the same header
     contribute to one merged region."""
-    all_back = find_back_edges(f)
-    if back_edge not in all_back:
+    analyses = Analyses.compute(f)
+    if back_edge not in analyses.back_edges:
         raise ValueError(f"{back_edge} is not a back edge of @{f.name}")
-    header = back_edge[1]
-    merged = frozenset(e for e in all_back if e[1] == header)
+    return next(loop for loop in analyses.loops if loop.header == back_edge[1])
 
-    preds = predecessors(f)
+
+def _natural_loop(
+    f: Function,
+    header: BlockId,
+    back: set[tuple[BlockId, BlockId]],
+    preds: dict[BlockId, list[BlockId]],
+) -> LoopRegion:
+    merged = frozenset(e for e in back if e[1] == header)
     body = {header}
     work = [src for src, _ in merged]
     while work:
@@ -201,12 +230,7 @@ def natural_loop(f: Function, back_edge: tuple[BlockId, BlockId]) -> LoopRegion:
 
 def loop_regions(f: Function) -> list[LoopRegion]:
     """All natural loops, outermost-first (ties broken by header id)."""
-    back = sorted(find_back_edges(f))
-    regions = []
-    for header in sorted({t for _, t in back}):
-        edge = next(e for e in back if e[1] == header)
-        regions.append(natural_loop(f, edge))
-    return sorted(regions, key=lambda r: (-len(r.body), r.header))
+    return Analyses.compute(f).loops
 
 
 def def_use(f: Function) -> dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]:
@@ -229,9 +253,12 @@ def def_use(f: Function) -> dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]:
     return {v: (defs[v], tuple(uses[v])) for v in defs}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Analyses:
-    """Per-function analysis bundle shared by rewrites and cost evaluation."""
+    """Per-function analysis bundle shared by rewrites and cost evaluation.
+
+    Read-only: `ESequence.analyses` caches one bundle per sequence.
+    """
 
     function: Function
     rpo: list[BlockId]
@@ -242,11 +269,12 @@ class Analyses:
 
     @classmethod
     def compute(cls, f: Function) -> "Analyses":
-        return cls(
-            function=f,
-            rpo=reverse_postorder(f),
-            idom=dominators(f),
-            back_edges=find_back_edges(f),
-            loops=loop_regions(f),
-            def_use=def_use(f),
-        )
+        """One pass: RPO, predecessors and dominators once, back edges and
+        loops read off them. Raises IrreducibleError."""
+        rpo = reverse_postorder(f)
+        preds = predecessors(f)
+        idom = dominators(f, rpo, preds)
+        back = _back_edges(f, rpo, idom)
+        loops = [_natural_loop(f, h, back, preds) for h in sorted({t for _, t in back})]
+        loops.sort(key=lambda r: (-len(r.body), r.header))
+        return cls(f, rpo, idom, back, loops, def_use(f))

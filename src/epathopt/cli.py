@@ -7,7 +7,9 @@
 
 `opt` parses, saturates, and prints the cheapest variant of every function in
 the file. `check` interprets every saturated variant on the given arguments
-and fails if any two disagree.
+and fails if two runs that finished disagree; a run that exhausts its fuel is
+inconclusive and is counted on stderr. Both warn on stderr when saturation
+stops at a limit before reaching a fixed point.
 
 Exit codes: 0 success, 1 parse/validate error (or check mismatch), 2
 irreducible control flow or usage errors.
@@ -22,9 +24,9 @@ from pathlib import Path
 
 from .analysis import IrreducibleError
 from .cost import CostTable, cost_of, default_cost_table, load_cost_table, sort_by_cost
-from .epath import EPath, saturate
+from .epath import EPath, SaturationReport, saturate
 from .esequence import from_function, to_dot, to_function
-from .ir import Function, ParseError, interpret, parse_file, print_function
+from .ir import FuelExhausted, Function, ParseError, interpret, parse_file, print_function
 from .rewrite import rules_named
 
 DEFAULT_RULES = ["licm", "constfold"]
@@ -45,6 +47,15 @@ class RunConfig:
 def _fail(message: str, code: int) -> int:
     print(f"epath-opt: error: {message}", file=sys.stderr)
     return code
+
+
+def _warn_if_truncated(f: Function, path: EPath, report: SaturationReport) -> None:
+    if not report.reached_fixed_point:
+        print(
+            f"epath-opt: warning: @{f.name}: saturation stopped at a limit before "
+            f"a fixed point ({report.iterations} iterations, {len(path)} variants)",
+            file=sys.stderr,
+        )
 
 
 def _parse_input(path: Path, error_code: int) -> list[Function] | int:
@@ -85,12 +96,13 @@ def cmd_opt(config: RunConfig) -> int:
         except IrreducibleError as exc:
             return _fail(f"@{f.name}: {exc}", 2)
         path = EPath(seed)
-        saturate(
+        report = saturate(
             path,
             rules,
             max_iterations=config.max_iterations,
             max_sequences=config.max_sequences,
         )
+        _warn_if_truncated(f, path, report)
         outputs.append(_render_result(f, path, table, config))
 
     print("\n\n".join(outputs))
@@ -137,19 +149,25 @@ def cmd_check(input_path: Path, args: list[int], fuel: int, rule_names: list[str
         except IrreducibleError as exc:
             return _fail(f"@{f.name}: {exc}", 2)
         path = EPath(seed)
-        saturate(path, rules)
+        _warn_if_truncated(f, path, saturate(path, rules))
 
         results = [
             (seq.digest, interpret(to_function(seq, f.name), args, fuel))
             for seq in path.variants()
         ]
-        base_digest, base_result = results[0]
-        for digest, result in results[1:]:
-            if result != base_result:
+        finished = [(d, r) for d, r in results if not isinstance(r, FuelExhausted)]
+        for digest, result in finished[1:]:
+            if result != finished[0][1]:
                 print(f"mismatch in @{f.name}:")
-                print(f"  {base_digest}: {base_result}")
+                print(f"  {finished[0][0]}: {finished[0][1]}")
                 print(f"  {digest}: {result}")
                 return 1
+        if len(finished) < len(results):
+            print(
+                f"epath-opt: note: @{f.name}: {len(results) - len(finished)} of "
+                f"{len(results)} variants ran out of fuel (inconclusive)",
+                file=sys.stderr,
+            )
         print(f"@{f.name}: {len(results)} variants agree")
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .analysis import Analyses
 from .epath import EPath
@@ -145,21 +144,19 @@ def cost_of(
     return CostPoly(tuple(coefficients))
 
 
-def _cmp_keyed(a, b) -> int:
-    order = compare(a[0], b[0])
-    if order is not Ordering.EQUAL:
-        return order.value
-    return -1 if a[1] < b[1] else (0 if a[1] == b[1] else 1)
-
-
 def sort_by_cost(variants: list[ESequence], table: CostTable | None = None) -> list[ESequence]:
-    """Ascending cost, ties broken by canonical printed form."""
+    """Ascending cost, ties broken by canonical printed form.
+
+    On normalized polynomials, (degree, coefficients from the highest down)
+    orders exactly as `compare` does.
+    """
     table = table or default_cost_table()
-    keyed = [
-        (cost_of(s, table), print_function(to_function(s)), s) for s in variants
-    ]
-    keyed.sort(key=cmp_to_key(_cmp_keyed))
-    return [s for _, _, s in keyed]
+
+    def key(s: ESequence):
+        cost = cost_of(s, table)
+        return cost.degree, cost.coefficients[::-1], print_function(to_function(s))
+
+    return sorted(variants, key=key)
 
 
 def extract(p: EPath, table: CostTable | None = None) -> ESequence:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .esequence import ESequence, analyze
+from .esequence import ESequence, analyze, verify
 from .rewrite import RewriteRule
 
 
@@ -115,6 +115,11 @@ def saturate(
     rule order. `rule_application_counts` counts produced rewrite results per
     rule, duplicates included.
 
+    Rule outputs are canonicalized without validation; only an output whose
+    digest is new is verified (valid SSA, reducible), so each distinct
+    sequence is validated and analyzed once. A duplicate is checked by
+    `EPath.insert` to be structurally equal to the stored, verified one.
+
     Rules are pure and sequences immutable, so applications over distinct
     sequences could run concurrently with `insert` as the only serialization
     point; this driver is single-threaded but never depends on application
@@ -124,7 +129,6 @@ def saturate(
         raise ValueError("limits must be positive")
 
     processed: set[tuple[str, str]] = set()
-    analyses_cache: dict[str, object] = {}
     counts = {rule.name: 0 for rule in rules}
     inserted = 0
     deduplicated = 0
@@ -147,15 +151,14 @@ def saturate(
         for digest, rule in pending:
             processed.add((digest, rule.name))
             seq = path.sequence(digest)
-            analyses = analyses_cache.get(digest)
-            if analyses is None:
-                analyses = analyses_cache[digest] = analyze(seq)
-            for out in rule.apply(seq, analyses):
+            for out in rule.apply(seq, analyze(seq)):
                 counts[rule.name] += 1
-                if len(path) >= max_sequences and out.digest not in path:
-                    return SaturationReport(
-                        iterations, inserted, deduplicated, False, counts
-                    )
+                if out.digest not in path:
+                    if len(path) >= max_sequences:
+                        return SaturationReport(
+                            iterations, inserted, deduplicated, False, counts
+                        )
+                    verify(out)
                 if path.insert(out, RewriteEdge(digest, out.digest, rule.name)):
                     inserted += 1
                     new_this_pass = True

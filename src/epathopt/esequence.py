@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .analysis import Analyses, reverse_postorder, find_back_edges
+from .analysis import Analyses, IrreducibleError, find_back_edges, reverse_postorder
 from .ir import (
     Block,
     BrIf,
@@ -39,34 +40,78 @@ class ESequence:
     def __len__(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def analyses(self) -> Analyses:
+        """CFG analyses of the function form, computed on first use and kept
+        for the sequence's lifetime. Not a field: equality and hashing
+        ignore it. Raises IrreducibleError."""
+        return Analyses.compute(to_function(self))
 
-def from_function(f: Function) -> ESequence:
+
+def from_function(f: Function, *, checked: bool = True) -> ESequence:
     """Canonicalize a valid, reducible function into an ESequence.
 
     Blocks are reordered to reverse postorder and renumbered 0..n-1; values
     are renumbered in definition order (entry params first, then each
     block's params and instruction result).
+
+    Raises ValueError listing the violations of an invalid function, and
+    IrreducibleError naming an edge in `f`'s own block ids. Rules pass
+    `checked=False`: the result then only has a digest, and `verify` must
+    accept it before it is trusted. `saturate` verifies only digests it has
+    not stored yet; a duplicate is structurally equal to a verified sequence.
     """
+    if checked:
+        _require_valid(f)
+    s = _canonicalize(f)
+    if checked:
+        try:
+            analyze(s)
+        except IrreducibleError:
+            find_back_edges(f)  # raises again, naming f's block ids
+            raise
+    return s
+
+
+def verify(s: ESequence) -> None:
+    """Check a sequence built with `checked=False`: ValueError listing its
+    violations, or IrreducibleError. Leaves its analyses cached."""
+    _require_valid(to_function(s))
+    analyze(s)
+
+
+def _require_valid(f: Function) -> None:
     violations = validate(f)
     if violations:
         raise ValueError(f"invalid function @{f.name}: " + "; ".join(violations))
-    find_back_edges(f)  # reject irreducible regions up front
 
-    rpo = reverse_postorder(f)
-    block_map = {old: new for new, old in enumerate(rpo)}
-    value_map: dict[ValueId, ValueId] = {}
-    for old in rpo:
-        block = f.block(old)
-        for v in block.params:
-            value_map[v] = len(value_map)
-        for instr in block.instructions:
-            value_map[instr.result] = len(value_map)
 
-    renamed = remap(f, value_map, block_map)
+def _canonicalize(f: Function) -> ESequence:
+    """Rename `f` into canonical form without validating it.
+
+    Validity and reducibility do not depend on names, so checking the result
+    checks `f`. Renaming fails only on an invalid `f` (an undefined target or
+    value, an unreached or duplicate block); `validate` then names why."""
+    try:
+        rpo = reverse_postorder(f)
+        block_map = {old: new for new, old in enumerate(rpo)}
+        value_map: dict[ValueId, ValueId] = {}
+        for old in rpo:
+            block = f.block(old)
+            for v in block.params:
+                value_map[v] = len(value_map)
+            for instr in block.instructions:
+                value_map[instr.result] = len(value_map)
+        renamed = remap(f, value_map, block_map)
+    except KeyError:
+        renamed = None
+    if renamed is None or len(rpo) != len(f.blocks):
+        _require_valid(f)
+        raise ValueError(f"invalid function @{f.name}: cannot canonicalize")
+
     blocks = tuple(sorted(renamed.blocks, key=lambda b: b.id))
     params = renamed.params
-    digest = _digest(params, blocks)
-    return ESequence(params, blocks, digest)
+    return ESequence(params, blocks, _digest(params, blocks))
 
 
 def to_function(s: ESequence, name: str = "s") -> Function:
@@ -85,8 +130,9 @@ def _digest(params, blocks) -> str:
 
 
 def analyze(s: ESequence) -> Analyses:
-    """CFG analyses of the sequence's function form."""
-    return Analyses.compute(to_function(s))
+    """CFG analyses of the sequence's function form, cached on the sequence;
+    treat the result as read-only."""
+    return s.analyses
 
 
 def to_dot(s: ESequence, name: str = "seq") -> str:

@@ -1,7 +1,9 @@
 """Rewrite rules over canonical sequences.
 
 A rule is a pure function from one sequence to zero or more new, semantically
-equivalent sequences; it never mutates its input. Shipped rules:
+equivalent sequences; it never mutates its input. Rules canonicalize their
+outputs without validating them; `saturate` verifies each new digest.
+Shipped rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
 * ``constfold``: fold binary operations over two constants (exercises
@@ -259,6 +261,9 @@ class _Editor:
         if target == bid:
             return False
 
+        if bid == self.entry and args:
+            raise ValueError(f"cannot splice entry block b{bid}: its jump passes arguments")
+
         updates: dict[BlockId, Terminator] = {}
         for p in self.preds(bid):
             if p == bid:
@@ -275,7 +280,6 @@ class _Editor:
         for p, new_term in updates.items():
             self.blocks[p].terminator = new_term
         if bid == self.entry:
-            assert not args
             self.entry = target
         del self.blocks[bid]
         return True
@@ -320,7 +324,7 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
     for loop in analyses.loops:
         split = classify_invariance(loop, s, analyses)
         if split.invariant_blocks:
-            out.append(from_function(_hoist(analyses.function, loop, split)))
+            out.append(from_function(_hoist(analyses.function, loop, split), checked=False))
     return out
 
 
@@ -414,7 +418,7 @@ def _fold_at(s: ESequence, opcode: str, m: dict[str, int]) -> ESequence:
             feeder_bid = ed.defining_block(feeder)
             if feeder_bid is not None:
                 ed.try_splice(feeder_bid)
-    return from_function(ed.finish())
+    return from_function(ed.finish(), checked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +435,7 @@ def apply_broken(s: ESequence, analyses: Analyses | None = None) -> list[ESequen
             ed.blocks[b.id].instruction = Instruction(
                 "iconst", instr.result, (), wrap64(instr.imm + 1)
             )
-            return [from_function(ed.finish())]
+            return [from_function(ed.finish(), checked=False)]
     return []
 
 

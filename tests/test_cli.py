@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from epathopt import parse_file, parse_function, validate
+from epathopt import parse_file, parse_function, print_function, validate
 from epathopt.cli import main
 from conftest import CORPUS_DIR, golden
 
@@ -165,3 +165,40 @@ def test_check_irreducible_exit_2(capsys):
     code, _, err = run(capsys, ["check", IRREDUCIBLE, "--args", "0"])
     assert code == 2
     assert "retreating edge" in err
+
+
+def test_check_low_fuel_is_inconclusive_not_mismatch(capsys):
+    # Fuel counts entered blocks and the variants differ in block count: the
+    # seed finishes, the hoisted variant runs out, which proves nothing.
+    code, out, err = run(capsys, ["check", BOUNDED, "--args=3", "--fuel", "30"])
+    assert code == 0
+    assert out == "@count: 2 variants agree\n"
+    assert "1 of 2 variants ran out of fuel" in err
+
+    code, _, err = run(capsys, ["check", BOUNDED, "--args=3", "--fuel", "1000"])
+    assert code == 0 and err == ""
+
+
+def test_check_exhausted_runs_do_not_hide_a_mismatch(capsys):
+    # `broken` bumps a constant on every pass, so saturation hits the
+    # iteration cap; at this fuel most variants run out, two finish apart.
+    code, out, err = run(
+        capsys, ["check", BOUNDED, "--args=3", "--fuel", "35", "--rules", "licm,broken"]
+    )
+    assert code == 1
+    assert out.startswith("mismatch in @count:")
+    assert "FuelExhausted" not in out
+    assert "warning: @count: saturation stopped" in err
+
+
+def test_opt_warns_when_saturation_is_truncated(capsys):
+    nested = CORPUS_DIR / "nested_loops.ir"
+    code, out, err = run(capsys, ["opt", str(nested), "--max-seqs", "1"])
+    assert code == 0
+    assert err.count("\n") == 1
+    assert "warning: @nest: saturation stopped" in err and "fixed point" in err
+    # stdout is unchanged: the seed, the only variant stored
+    assert out == print_function(parse_function(nested.read_text())) + "\n"
+
+    code, _, err = run(capsys, ["opt", str(nested)])
+    assert code == 0 and err == ""

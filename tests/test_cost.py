@@ -1,3 +1,5 @@
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -190,3 +192,17 @@ def test_sort_by_cost_is_ascending():
     costs = [cost_of(s) for s in ordered]
     for a, b in zip(costs, costs[1:]):
         assert compare(a, b) is not Ordering.GREATER
+
+
+def test_sort_by_cost_matches_compare_then_text(corpus):
+    # The order `compare` defines, ties broken by printed form.
+    def cmp(a, b):
+        order = compare(cost_of(a), cost_of(b))
+        if order is not Ordering.EQUAL:
+            return order.value
+        ta, tb = (print_function(to_function(s)) for s in (a, b))
+        return (ta > tb) - (ta < tb)
+
+    for name in corpus:
+        variants = saturated(name).variants()
+        assert sort_by_cost(variants) == sorted(variants, key=cmp_to_key(cmp)), name

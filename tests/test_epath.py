@@ -3,16 +3,28 @@ import random
 import pytest
 
 from epathopt import (
+    Analyses,
+    Block,
+    BrIf,
     EPath,
+    Function,
+    Instruction,
+    IrreducibleError,
+    Jump,
+    Ret,
     RewriteEdge,
+    RewriteRule,
     analyze,
     from_function,
     new_epath,
+    parse_function,
     remap,
     rules_named,
     saturate,
+    sort_by_cost,
+    to_function,
 )
-from conftest import load_corpus
+from conftest import CORPUS_DIR, load_corpus
 from oracles import brute_closure
 
 RULES = rules_named(["licm", "constfold"])
@@ -187,3 +199,75 @@ def test_saturate_rejects_bad_limits():
     p = EPath(seed_of("identity.ir"))
     with pytest.raises(ValueError):
         saturate(p, [], max_iterations=0)
+
+
+def _count_calls(monkeypatch, owner, name, counter):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counter[name] = counter.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_each_distinct_sequence_analyzed_once(monkeypatch):
+    import epathopt.analysis as analysis
+
+    calls = {}
+    _count_calls(monkeypatch, analysis, "dominators", calls)
+    compute = Analyses.__dict__["compute"].__func__
+
+    def counted_compute(cls, f):
+        calls["compute"] = calls.get("compute", 0) + 1
+        return compute(cls, f)
+
+    monkeypatch.setattr(Analyses, "compute", classmethod(counted_compute))
+
+    p = EPath(seed_of("nested_loops.ir"))
+    saturate(p, RULES)
+    sort_by_cost(p.variants())
+    assert len(p) > 2
+    assert calls == {"dominators": len(p), "compute": len(p)}
+
+
+def _emitting(function):
+    """A rule whose only output is `function`, canonicalized as rules do."""
+    return RewriteRule("emit", lambda s, analyses: [from_function(function, checked=False)])
+
+
+def test_saturate_rejects_new_invalid_output():
+    # The parser rejects these, so they are built directly.
+    # v1 is defined on one arm of the diamond only, then used at the merge.
+    undominated = Function("f", (0,), 0, (
+        Block(0, (0,), (), BrIf(0, 1, (), 2, ())),
+        Block(1, (), (Instruction("iconst", 1, (), 1),), Jump(3, ())),
+        Block(2, (), (), Jump(3, ())),
+        Block(3, (), (), Ret((1,))),
+    ))
+    with pytest.raises(ValueError, match="invalid function.*not dominated"):
+        saturate(EPath(seed_of("sec2_loop.ir")), [_emitting(undominated)])
+
+    # Renaming cannot map v7; the rule output still fails with the violation.
+    undefined = Function("f", (0,), 0, (Block(0, (0,), (), Ret((7,))),))
+    with pytest.raises(ValueError, match="invalid function.*v7"):
+        saturate(EPath(seed_of("sec2_loop.ir")), [_emitting(undefined)])
+
+
+def test_saturate_rejects_new_irreducible_output():
+    irreducible = parse_function((CORPUS_DIR / "reject" / "irreducible.ir").read_text())
+    with pytest.raises(IrreducibleError):
+        saturate(EPath(seed_of("sec2_loop.ir")), [_emitting(irreducible)])
+
+
+def test_duplicate_output_is_not_validated(monkeypatch):
+    import epathopt.esequence as esequence
+
+    seed = seed_of("sec2_loop.ir")
+    p = EPath(seed)
+    calls = {}
+    _count_calls(monkeypatch, esequence, "validate", calls)
+    report = saturate(p, [_emitting(to_function(seed))])
+    assert (report.inserted, report.deduplicated) == (0, 1)
+    assert calls == {}
+    assert [(e.source, e.target) for e in p.edges] == [(seed.digest, seed.digest)]

@@ -3,10 +3,14 @@ import random
 import pytest
 
 from epathopt import (
+    Block,
     ExprPattern,
+    Function,
+    Jump,
     PatOp,
     PatVar,
     RULES,
+    Ret,
     analyze,
     apply_const_fold,
     apply_licm,
@@ -21,6 +25,7 @@ from epathopt import (
     rules_named,
     to_function,
 )
+from epathopt.rewrite import _Editor
 from conftest import argument_vectors, assert_all_equivalent, golden, load_corpus
 from generators import random_function
 from oracles import brute_matches
@@ -311,3 +316,14 @@ def test_rules_on_random_functions_stay_valid_and_equivalent():
                 results = [interpret(g, vector, 1500) for g in functions]
                 assert all(r == results[0] for r in results), (i, vector)
     assert checked > 0
+
+
+def test_splicing_entry_that_passes_arguments_raises():
+    # An argument-passing entry jump cannot become the entry; the refusal is
+    # an explicit error, so it survives `python -O`.
+    f = Function("f", (), 0, (
+        Block(0, (), (), Jump(1, (5,))),
+        Block(1, (5,), (), Ret((5,))),
+    ))
+    with pytest.raises(ValueError, match="cannot splice entry block b0"):
+        _Editor(f).try_splice(0)
