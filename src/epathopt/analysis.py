@@ -1,5 +1,6 @@
-"""Classical CFG analyses: reverse postorder, dominators, back edges,
-natural loops, and def-use chains.
+"""Classical CFG analyses: dominators, back edges, natural loops, and
+def-use chains, built on the CFG walks in `ir` (reverse postorder,
+predecessors), which this module re-exports.
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -9,7 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Block, BlockId, Function, ValueId, terminator_targets, terminator_values
+from .ir import (
+    BlockId,
+    Function,
+    ValueId,
+    predecessors,
+    reverse_postorder,
+    successors,
+    terminator_values,
+)
 
 
 class IrreducibleError(Exception):
@@ -62,43 +71,6 @@ class TermUse:
 
 DefSite = ParamDef | InstrDef
 UseSite = InstrUse | TermUse
-
-
-def successors(f: Function, bid: BlockId) -> list[BlockId]:
-    return [t for t, _ in terminator_targets(f.block(bid).terminator)]
-
-
-def predecessors(f: Function) -> dict[BlockId, list[BlockId]]:
-    """Predecessor lists in deterministic (block, edge) order."""
-    preds: dict[BlockId, list[BlockId]] = {b.id: [] for b in f.blocks}
-    for b in sorted(f.blocks, key=lambda blk: blk.id):
-        for target, _ in terminator_targets(b.terminator):
-            if b.id not in preds[target]:
-                preds[target].append(b.id)
-    return preds
-
-
-def reverse_postorder(f: Function) -> list[BlockId]:
-    """Entry-first block order; successor ties follow terminator order
-    (jump target; brif then-target before else-target)."""
-    order: list[BlockId] = []
-    visited = {f.entry}
-    # DFS explores successors in reverse (pop from the end) so the final
-    # reversed postorder lists them in terminator order.
-    stack: list[tuple[BlockId, list[BlockId]]] = [(f.entry, successors(f, f.entry))]
-    while stack:
-        bid, pending = stack[-1]
-        while pending:
-            nxt = pending.pop()
-            if nxt not in visited:
-                visited.add(nxt)
-                stack.append((nxt, successors(f, nxt)))
-                break
-        else:
-            order.append(bid)
-            stack.pop()
-    order.reverse()
-    return order
 
 
 def dominators(

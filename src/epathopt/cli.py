@@ -12,36 +12,25 @@ inconclusive and is counted on stderr. Both warn on stderr when saturation
 stops at a limit before reaching a fixed point.
 
 Exit codes: 0 success, 1 parse/validate error (or check mismatch), 2
-irreducible control flow or usage errors.
+irreducible control flow or usage errors. A reader that closes stdout early
+gets exit code 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import IrreducibleError
 from .cost import CostTable, cost_of, default_cost_table, load_cost_table, sort_by_cost
-from .epath import EPath, SaturationReport, saturate
+from .epath import EPath, saturate
 from .esequence import from_function, to_dot, to_function
 from .ir import FuelExhausted, Function, ParseError, interpret, parse_file, print_function
-from .rewrite import rules_named
+from .rewrite import RewriteRule, rules_named
 
 DEFAULT_RULES = ["licm", "constfold"]
-
-
-@dataclass
-class RunConfig:
-    input: Path
-    rules: list[str] = field(default_factory=lambda: list(DEFAULT_RULES))
-    max_iterations: int = 64
-    max_sequences: int = 100_000
-    cost_table: Path | None = None
-    emit: str = "text"
-    dump_variants: bool = False
-    trace: bool = False
 
 
 def _fail(message: str, code: int) -> int:
@@ -49,93 +38,98 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _warn_if_truncated(f: Function, path: EPath, report: SaturationReport) -> None:
-    if not report.reached_fixed_point:
-        print(
-            f"epath-opt: warning: @{f.name}: saturation stopped at a limit before "
-            f"a fixed point ({report.iterations} iterations, {len(path)} variants)",
-            file=sys.stderr,
-        )
-
-
 def _parse_input(path: Path, error_code: int) -> list[Function] | int:
     try:
         text = path.read_text()
     except OSError as exc:
         return _fail(str(exc), error_code)
+    except UnicodeDecodeError as exc:
+        return _fail(f"{path}: {exc}", error_code)
     try:
         return parse_file(text)
     except ParseError as exc:
         return _fail(f"{path}:{exc}", error_code)
 
 
-def cmd_opt(config: RunConfig) -> int:
-    if config.max_iterations <= 0 or config.max_sequences <= 0:
+def _saturated(f: Function, rules: list[RewriteRule], **limits) -> EPath | int:
+    """The saturated e-path of `f`, warning on stderr when saturation stops
+    at a limit; exit code 2 when `f` is irreducible."""
+    try:
+        path = EPath(from_function(f))
+    except IrreducibleError as exc:
+        return _fail(f"@{f.name}: {exc}", 2)
+    report = saturate(path, rules, **limits)
+    if not report.reached_fixed_point:
+        print(
+            f"epath-opt: warning: @{f.name}: saturation stopped at a limit before "
+            f"a fixed point ({report.iterations} iterations, {len(path)} variants)",
+            file=sys.stderr,
+        )
+    return path
+
+
+def cmd_opt(ns: argparse.Namespace) -> int:
+    if ns.max_iters <= 0 or ns.max_seqs <= 0:
         return _fail("limits must be positive", 2)
     try:
-        rules = rules_named(config.rules)
+        rules = rules_named(ns.rules)
     except ValueError as exc:
         return _fail(str(exc), 2)
 
-    if config.cost_table is not None:
+    if ns.cost_table is not None:
         try:
-            table = load_cost_table(config.cost_table.read_text())
+            table = load_cost_table(ns.cost_table.read_text())
         except (OSError, ValueError) as exc:
             return _fail(f"cost table: {exc}", 2)
     else:
         table = default_cost_table()
 
-    functions = _parse_input(config.input, error_code=1)
+    functions = _parse_input(ns.input, error_code=1)
     if isinstance(functions, int):
         return functions
 
     outputs = []
     for f in functions:
-        try:
-            seed = from_function(f)
-        except IrreducibleError as exc:
-            return _fail(f"@{f.name}: {exc}", 2)
-        path = EPath(seed)
-        report = saturate(
-            path,
-            rules,
-            max_iterations=config.max_iterations,
-            max_sequences=config.max_sequences,
-        )
-        _warn_if_truncated(f, path, report)
-        outputs.append(_render_result(f, path, table, config))
+        path = _saturated(f, rules, max_iterations=ns.max_iters, max_sequences=ns.max_seqs)
+        if isinstance(path, int):
+            return path
+        outputs.append(_render_result(f, path, table, ns))
 
     print("\n\n".join(outputs))
     return 0
 
 
-def _render_result(f: Function, path: EPath, table: CostTable, config: RunConfig) -> str:
+def _render_result(f: Function, path: EPath, table: CostTable, ns: argparse.Namespace) -> str:
     lines: list[str] = []
-    if config.trace:
+    if ns.trace:
         for edge in path.edges:
             lines.append(f"{edge.rule_name}: {edge.source} -> {edge.target}")
     ordered = sort_by_cost(path.variants(), table)
-    if config.dump_variants:
+    if ns.dump_variants:
         for seq in ordered:
             lines.append(f"; variant {seq.digest} cost {cost_of(seq, table).render()}")
             lines.append(print_function(to_function(seq, f.name)))
     best = ordered[0]
-    if config.emit == "dot":
+    if ns.emit == "dot":
         lines.append(to_dot(best, f.name))
     else:
         lines.append(print_function(to_function(best, f.name)))
     return "\n".join(lines)
 
 
-def cmd_check(input_path: Path, args: list[int], fuel: int, rule_names: list[str]) -> int:
+def cmd_check(ns: argparse.Namespace) -> int:
     try:
-        rules = rules_named(rule_names)
+        args = _parse_int_list(ns.args)
+    except ValueError:
+        return _fail(f"bad --args value {ns.args!r}", 2)
+    try:
+        rules = rules_named(ns.rules)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    if fuel <= 0:
+    if ns.fuel <= 0:
         return _fail("fuel must be positive", 2)
 
-    functions = _parse_input(input_path, error_code=2)
+    functions = _parse_input(ns.input, error_code=2)
     if isinstance(functions, int):
         return functions
 
@@ -144,15 +138,12 @@ def cmd_check(input_path: Path, args: list[int], fuel: int, rule_names: list[str
             return _fail(
                 f"@{f.name} takes {len(f.params)} arguments, got {len(args)}", 2
             )
-        try:
-            seed = from_function(f)
-        except IrreducibleError as exc:
-            return _fail(f"@{f.name}: {exc}", 2)
-        path = EPath(seed)
-        _warn_if_truncated(f, path, saturate(path, rules))
+        path = _saturated(f, rules)
+        if isinstance(path, int):
+            return path
 
         results = [
-            (seq.digest, interpret(to_function(seq, f.name), args, fuel))
+            (seq.digest, interpret(to_function(seq, f.name), args, ns.fuel))
             for seq in path.variants()
         ]
         finished = [(d, r) for d, r in results if not isinstance(r, FuelExhausted)]
@@ -179,16 +170,24 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part.strip()) for part in text.split(",")]
 
 
+def _parse_rule_list(text: str) -> list[str]:
+    return [r for r in text.split(",") if r]
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epath-opt",
         description="Non-destructive saturation over a restricted ANF control-flow IR.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default_rules = ",".join(DEFAULT_RULES)
 
     opt = sub.add_parser("opt", help="saturate and print the cheapest variant")
     opt.add_argument("input", type=Path)
-    opt.add_argument("--rules", default=",".join(DEFAULT_RULES), help="comma-separated rule names")
+    opt.add_argument(
+        "--rules", type=_parse_rule_list, default=default_rules,
+        help="comma-separated rule names",
+    )
     opt.add_argument("--max-iters", type=int, default=64)
     opt.add_argument("--max-seqs", type=int, default=100_000)
     opt.add_argument("--cost-table", type=Path, default=None)
@@ -200,30 +199,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("input", type=Path)
     check.add_argument("--args", default="", help="comma-separated integer arguments")
     check.add_argument("--fuel", type=int, default=10_000)
-    check.add_argument("--rules", default=",".join(DEFAULT_RULES))
+    check.add_argument("--rules", type=_parse_rule_list, default=default_rules)
 
     return parser
 
 
+_PARSER = build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ns = build_arg_parser().parse_args(argv)
-    if ns.command == "opt":
-        config = RunConfig(
-            input=ns.input,
-            rules=[r for r in ns.rules.split(",") if r],
-            max_iterations=ns.max_iters,
-            max_sequences=ns.max_seqs,
-            cost_table=ns.cost_table,
-            emit=ns.emit,
-            dump_variants=ns.dump_variants,
-            trace=ns.trace,
-        )
-        return cmd_opt(config)
+    ns = _PARSER.parse_args(argv)
     try:
-        args = _parse_int_list(ns.args)
-    except ValueError:
-        return _fail(f"bad --args value {ns.args!r}", 2)
-    return cmd_check(ns.input, args, ns.fuel, [r for r in ns.rules.split(",") if r])
+        code = cmd_opt(ns) if ns.command == "opt" else cmd_check(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull so the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -38,8 +38,7 @@ class EPath:
 
     def __init__(self, seed: ESequence):
         self._sequences: dict[str, ESequence] = {seed.digest: seed}
-        self._edges: list[RewriteEdge] = []
-        self._edge_set: set[RewriteEdge] = set()
+        self._edges: dict[RewriteEdge, None] = {}  # insertion-ordered set
         self.seed = seed.digest
 
     def __len__(self) -> int:
@@ -82,14 +81,11 @@ class EPath:
                 raise RuntimeError(
                     f"digest collision: {s.digest} names two distinct sequences"
                 )
-            if edge not in self._edge_set:
-                self._edge_set.add(edge)
-                self._edges.append(edge)
+            self._edges.setdefault(edge)
             return False
 
         self._sequences[s.digest] = s
-        self._edge_set.add(edge)
-        self._edges.append(edge)
+        self._edges.setdefault(edge)
         return True
 
     def variants(self) -> list[ESequence]:
@@ -110,10 +106,12 @@ def saturate(
 ) -> SaturationReport:
     """Apply every rule to every sequence until no new sequence appears.
 
-    Each (sequence, rule) pair is processed exactly once; an iteration is one
-    worklist pass. The final set is the rewrite closure and is independent of
-    rule order. `rule_application_counts` counts produced rewrite results per
-    rule, duplicates included.
+    Each (sequence, rule) pair is processed exactly once: iteration 1 applies
+    every rule to every stored sequence, and each later iteration only to the
+    frontier of sequences the previous one inserted, digest first, then rule,
+    in ascending digest order. The final set is the rewrite closure and is
+    independent of rule order. `rule_application_counts` counts produced
+    rewrite results per rule, duplicates included.
 
     Rule outputs are canonicalized without validation; only an output whose
     digest is new is verified (valid SSA, reducible), so each distinct
@@ -128,45 +126,31 @@ def saturate(
     if max_iterations <= 0 or max_sequences <= 0:
         raise ValueError("limits must be positive")
 
-    processed: set[tuple[str, str]] = set()
+    stored = len(path)
+    frontier = path.digests()
     counts = {rule.name: 0 for rule in rules}
-    inserted = 0
-    deduplicated = 0
-    iterations = 0
-    fixed_point = False
+    deduplicated = iterations = 0
 
-    while iterations < max_iterations:
+    while frontier and iterations < max_iterations:
         iterations += 1
-        pending = [
-            (digest, rule)
-            for digest in path.digests()
-            for rule in rules
-            if (digest, rule.name) not in processed
-        ]
-        if not pending:
-            fixed_point = True
-            break
-
-        new_this_pass = False
-        for digest, rule in pending:
-            processed.add((digest, rule.name))
+        new: list[str] = []
+        for digest in frontier:
             seq = path.sequence(digest)
-            for out in rule.apply(seq, analyze(seq)):
-                counts[rule.name] += 1
-                if out.digest not in path:
-                    if len(path) >= max_sequences:
-                        return SaturationReport(
-                            iterations, inserted, deduplicated, False, counts
-                        )
-                    verify(out)
-                if path.insert(out, RewriteEdge(digest, out.digest, rule.name)):
-                    inserted += 1
-                    new_this_pass = True
-                else:
-                    deduplicated += 1
+            for rule in rules:
+                for out in rule.apply(seq, analyze(seq)):
+                    counts[rule.name] += 1
+                    if out.digest not in path:
+                        if len(path) >= max_sequences:
+                            return SaturationReport(
+                                iterations, len(path) - stored, deduplicated, False, counts
+                            )
+                        verify(out)
+                    if path.insert(out, RewriteEdge(digest, out.digest, rule.name)):
+                        new.append(out.digest)
+                    else:
+                        deduplicated += 1
+        frontier = sorted(new)
 
-        if not new_this_pass:
-            fixed_point = True
-            break
-
-    return SaturationReport(iterations, inserted, deduplicated, fixed_point, counts)
+    return SaturationReport(
+        iterations, len(path) - stored, deduplicated, not frontier, counts
+    )

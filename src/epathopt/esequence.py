@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .analysis import Analyses, IrreducibleError, find_back_edges, reverse_postorder
+from .analysis import Analyses, IrreducibleError, find_back_edges
 from .ir import (
     Block,
     BrIf,
@@ -23,6 +23,7 @@ from .ir import (
     remap,
     render_instruction,
     render_terminator,
+    reverse_postorder,
     validate,
 )
 

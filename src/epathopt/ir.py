@@ -152,6 +152,44 @@ def terminator_values(term: Terminator) -> list[ValueId]:
     return list(term.args)
 
 
+def successors(f: Function, bid: BlockId) -> list[BlockId]:
+    return [t for t, _ in terminator_targets(f.block(bid).terminator)]
+
+
+def predecessors(f: Function) -> dict[BlockId, list[BlockId]]:
+    """Predecessor lists in deterministic (block, edge) order."""
+    preds: dict[BlockId, list[BlockId]] = {b.id: [] for b in f.blocks}
+    for b in sorted(f.blocks, key=lambda blk: blk.id):
+        for target, _ in terminator_targets(b.terminator):
+            if b.id not in preds[target]:
+                preds[target].append(b.id)
+    return preds
+
+
+def reverse_postorder(f: Function) -> list[BlockId]:
+    """Entry-first order of the blocks reachable from the entry; successor
+    ties follow terminator order (jump target; brif then-target before
+    else-target)."""
+    order: list[BlockId] = []
+    visited = {f.entry}
+    # DFS explores successors in reverse (pop from the end) so the final
+    # reversed postorder lists them in terminator order.
+    stack: list[tuple[BlockId, list[BlockId]]] = [(f.entry, successors(f, f.entry))]
+    while stack:
+        bid, pending = stack[-1]
+        while pending:
+            nxt = pending.pop()
+            if nxt not in visited:
+                visited.add(nxt)
+                stack.append((nxt, successors(f, nxt)))
+                break
+        else:
+            order.append(bid)
+            stack.pop()
+    order.reverse()
+    return order
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int = 1):
         super().__init__(f"{line}:{col}: {message}")
@@ -522,37 +560,22 @@ def validate(f: Function) -> list[str]:
         return violations
 
     # Reachability and predecessor structure.
-    preds: dict[BlockId, set[BlockId]] = {b.id: set() for b in f.blocks}
-    for b in f.blocks:
-        for target, _ in terminator_targets(b.terminator):
-            preds[target].add(b.id)
-    reachable = {f.entry}
-    stack = [f.entry]
-    while stack:
-        bid = stack.pop()
-        for target, _ in terminator_targets(f.block(bid).terminator):
-            if target not in reachable:
-                reachable.add(target)
-                stack.append(target)
+    rpo = reverse_postorder(f)
+    reachable = set(rpo)
+    preds = predecessors(f)
     if preds[f.entry]:
         violations.append(f"entry block b{f.entry} has predecessors")
-    for b in sorted(f.blocks, key=lambda blk: blk.id):
-        if b.id not in reachable:
-            violations.append(f"b{b.id}: unreachable")
+    for bid in sorted(set(ids) - reachable):
+        violations.append(f"b{bid}: unreachable")
 
     # Forward availability: a use is legal iff its value is defined on every
     # path from entry (equivalent to dominance under single definitions).
-    all_defs = set(defs)
-    avail_in: dict[BlockId, set[ValueId]] = {
-        bid: all_defs.copy() for bid in reachable
-    }
+    avail_in: dict[BlockId, set[ValueId]] = {bid: set(defs) for bid in reachable}
     avail_in[f.entry] = set()
     changed = True
     while changed:
         changed = False
-        for bid in reachable:
-            if bid == f.entry:
-                continue
+        for bid in rpo[1:]:
             incoming = [
                 avail_in[p] | _block_defs(f.block(p)) for p in preds[bid] if p in reachable
             ]
@@ -561,16 +584,15 @@ def validate(f: Function) -> list[str]:
                 avail_in[bid] = new
                 changed = True
 
-    for b in sorted(f.blocks, key=lambda blk: blk.id):
-        if b.id not in reachable:
-            continue
-        scope = avail_in[b.id] | set(b.params)
+    for bid in sorted(reachable):
+        b = f.block(bid)
+        scope = avail_in[bid] | set(b.params)
         for instr in b.instructions:
             for v in instr.operands:
-                violations.extend(_check_use(b, v, scope, all_defs))
+                violations.extend(_check_use(b, v, scope, defs))
             scope = scope | {instr.result}
         for v in terminator_values(b.terminator):
-            violations.extend(_check_use(b, v, scope, all_defs))
+            violations.extend(_check_use(b, v, scope, defs))
 
     return violations
 
@@ -582,10 +604,10 @@ def _block_defs(b: Block) -> set[ValueId]:
     return out
 
 
-def _check_use(b: Block, v: ValueId, scope: set, all_defs: set) -> list[str]:
+def _check_use(b: Block, v: ValueId, scope: set, defs: dict) -> list[str]:
     if v in scope:
         return []
-    if v not in all_defs:
+    if v not in defs:
         return [f"b{b.id}: use of undefined value {render_value(v)}"]
     return [f"b{b.id}: use of {render_value(v)} not dominated by its definition"]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .analysis import Analyses, InstrDef, LoopRegion
+from .analysis import Analyses, InstrDef, InstrUse, LoopRegion
 from .esequence import ESequence, analyze, from_function, to_function
 from .ir import (
     Block,
@@ -32,7 +32,6 @@ from .ir import (
     Terminator,
     ValueId,
     terminator_targets,
-    terminator_values,
     wrap64,
 )
 
@@ -166,7 +165,7 @@ def classify_invariance(
     block inside it."""
     analyses = analyses or analyze(s)
     f = analyses.function
-    def_site = {v: site for v, (site, _) in analyses.def_use.items()}
+    def_use = analyses.def_use
     candidates = [bid for bid in sorted(loop.body) if f.block(bid).instruction]
 
     invariant: set[BlockId] = set()
@@ -179,7 +178,7 @@ def classify_invariance(
             instr = f.block(bid).instruction
             if instr.opcode in IMPURE_OPCODES:
                 continue
-            if all(_invariant_operand(def_site[v], loop, invariant) for v in instr.operands):
+            if all(_invariant_operand(def_use[v][0], loop, invariant) for v in instr.operands):
                 invariant.add(bid)
                 changed = True
 
@@ -235,20 +234,6 @@ class _Editor:
             for p, wb in self.blocks.items()
             if any(t == bid for t, _ in terminator_targets(wb.terminator))
         )
-
-    def use_count(self, v: ValueId) -> int:
-        n = 0
-        for wb in self.blocks.values():
-            if wb.instruction:
-                n += wb.instruction.operands.count(v)
-            n += terminator_values(wb.terminator).count(v)
-        return n
-
-    def defining_block(self, v: ValueId) -> BlockId | None:
-        for bid, wb in self.blocks.items():
-            if wb.instruction and wb.instruction.result == v:
-                return bid
-        return None
 
     def try_splice(self, bid: BlockId) -> bool:
         """Remove a parameterless jump-only block, rewiring its predecessors
@@ -376,6 +361,10 @@ def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> Function:
 
 
 _FOLDABLE = ("iadd", "isub", "imul", "icmp_slt")
+_FOLD_PATTERNS = [
+    ExprPattern("root", PatOp(opcode, (PatOp("iconst", imm="a"), PatOp("iconst", imm="b"))))
+    for opcode in _FOLDABLE
+]
 
 
 def fold_constants(opcode: str, a: int, b: int) -> int:
@@ -395,29 +384,27 @@ def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESe
     """One variant per `op(iconst, iconst)` match, with the matched block
     rewritten to the folded constant and dead constant feeders straightened
     out of the block chain."""
-    out = []
-    for opcode in _FOLDABLE:
-        pattern = ExprPattern(
-            "root",
-            PatOp(opcode, (PatOp("iconst", imm="a"), PatOp("iconst", imm="b"))),
-        )
-        for m in match_expression(pattern, s):
-            out.append(_fold_at(s, opcode, m))
-    return out
+    analyses = analyses or analyze(s)
+    return [
+        _fold_at(analyses, pattern.tree.opcode, m)
+        for pattern in _FOLD_PATTERNS
+        for m in match_expression(pattern, s)
+    ]
 
 
-def _fold_at(s: ESequence, opcode: str, m: dict[str, int]) -> ESequence:
-    ed = _Editor(to_function(s))
-    root_bid = ed.defining_block(m["root"])
+def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
+    ed = _Editor(analyses.function)
+    root_bid = analyses.def_use[m["root"]][0].block
     old = ed.blocks[root_bid].instruction
     folded = fold_constants(opcode, m["a"], m["b"])
     ed.blocks[root_bid].instruction = Instruction("iconst", old.result, (), folded)
 
+    # A feeder read only by the folded instruction is now dead. Splicing one
+    # feeder's block out leaves the other feeder's uses as they were.
     for feeder in dict.fromkeys(old.operands):
-        if ed.use_count(feeder) == 0:
-            feeder_bid = ed.defining_block(feeder)
-            if feeder_bid is not None:
-                ed.try_splice(feeder_bid)
+        site, uses = analyses.def_use[feeder]
+        if all(isinstance(u, InstrUse) and u.block == root_bid for u in uses):
+            ed.try_splice(site.block)
     return from_function(ed.finish(), checked=False)
 
 

@@ -6,8 +6,9 @@ flow by construction.
 """
 
 import random
+from dataclasses import replace
 
-from epathopt import Block, BrIf, Function, Instruction, Jump, Ret
+from epathopt import Block, BrIf, Function, Instruction, Jump, Ret, terminator_targets
 
 _PURE_BINOPS = ["iadd", "isub", "imul", "icmp_slt"]
 
@@ -106,3 +107,67 @@ def random_function(rng: random.Random, max_blocks: int = 8, name: str = "fuzz")
 
     blocks = tuple(sorted(builder.blocks, key=lambda b: b.id))
     return Function(name, params, entry, blocks)
+
+
+MUTATIONS = ("drop_definition", "copy_instruction", "delete_block", "reroute_edge")
+
+
+def _target_fields(term):
+    """Names of the terminator's successor-block fields."""
+    if isinstance(term, Jump):
+        return ["target"]
+    if isinstance(term, BrIf):
+        return ["then_target", "else_target"]
+    return []
+
+
+def mutate(rng: random.Random, f: Function, kind: str) -> Function:
+    """`f` broken by one mutation of the given kind (see MUTATIONS), or `f`
+    itself when it offers no site for it. Block ids stay unique and every
+    jump target stays defined, so `validate` always gets as far as checking
+    reachability and uses."""
+    blocks = {b.id: b for b in f.blocks}
+    non_entry = [bid for bid in blocks if bid != f.entry]
+    with_instr = [bid for bid, b in blocks.items() if b.instructions]
+
+    if kind == "drop_definition":
+        sites = [(bid, "instr") for bid in with_instr]
+        sites += [(bid, "param") for bid in non_entry if blocks[bid].params]
+        if not sites:
+            return f
+        bid, what = rng.choice(sites)
+        b = blocks[bid]
+        if what == "instr":
+            blocks[bid] = replace(b, instructions=())
+        else:
+            params = list(b.params)
+            params.pop(rng.randrange(len(params)))
+            blocks[bid] = replace(b, params=tuple(params))
+    elif kind == "copy_instruction":
+        if not with_instr or len(blocks) < 2:
+            return f
+        src = rng.choice(with_instr)
+        dst = rng.choice([bid for bid in blocks if bid != src])
+        copied = blocks[dst].instructions + blocks[src].instructions
+        blocks[dst] = replace(blocks[dst], instructions=copied)
+    elif kind == "delete_block":
+        if not non_entry:
+            return f
+        gone = blocks.pop(rng.choice(non_entry))
+        succ = [t for t, _ in terminator_targets(gone.terminator) if t != gone.id]
+        into = succ[0] if succ else rng.choice(sorted(blocks))
+        for bid, b in blocks.items():
+            term = b.terminator
+            moved = {k: into for k in _target_fields(term) if getattr(term, k) == gone.id}
+            blocks[bid] = replace(b, terminator=replace(term, **moved))
+    elif kind == "reroute_edge":
+        branching = [bid for bid, b in blocks.items() if _target_fields(b.terminator)]
+        if not branching:
+            return f
+        b = blocks[rng.choice(branching)]
+        edge = rng.choice(_target_fields(b.terminator))
+        term = replace(b.terminator, **{edge: rng.choice(sorted(blocks))})
+        blocks[b.id] = replace(b, terminator=term)
+    else:
+        raise ValueError(f"unknown mutation {kind!r}")
+    return Function(f.name, f.params, f.entry, tuple(sorted(blocks.values(), key=lambda b: b.id)))

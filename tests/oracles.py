@@ -6,7 +6,7 @@ exhaustive enumeration) rather than reusing the library's algorithms.
 
 import itertools
 
-from epathopt import PatOp, PatVar, analyze, dominators, terminator_targets
+from epathopt import PatOp, PatVar, analyze, dominators, terminator_targets, terminator_values
 
 
 def _edges(f):
@@ -116,3 +116,58 @@ def brute_closure(seed, rules):
                         seen[out.digest] = out
                         changed = True
     return set(seen)
+
+
+def brute_validate(f):
+    """What `validate` must say about reachability and uses, by graph search.
+
+    Returns (flagged uses as (block, value, undefined) triples, unreachable
+    block ids, whether some block jumps to the entry). A use of v in block B
+    is legal when v is defined earlier in B; otherwise when v is defined
+    somewhere and removing every block that defines v leaves no path from
+    the entry into B. Assumes every jump target is defined.
+    """
+    edges = _edges(f)
+
+    def search(removed):
+        if f.entry in removed:
+            return set()
+        seen = {f.entry}
+        stack = [f.entry]
+        while stack:
+            cur = stack.pop()
+            for s, t in edges:
+                if s == cur and t not in removed and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    defining = {}
+    for b in f.blocks:
+        for v in (*b.params, *(i.result for i in b.instructions)):
+            defining.setdefault(v, set()).add(b.id)
+
+    def connected_avoiding_defs(bid, v):
+        if bid == f.entry:
+            return True
+        seen = search(defining[v])
+        return any(s in seen for s, t in edges if t == bid)
+
+    reachable = search(set())
+    flagged = set()
+    for b in f.blocks:
+        if b.id not in reachable:
+            continue
+        local = set(b.params)
+        uses = []
+        for instr in b.instructions:
+            uses.extend((v, set(local)) for v in instr.operands)
+            local.add(instr.result)
+        uses.extend((v, local) for v in terminator_values(b.terminator))
+        for v, earlier in uses:
+            if v in earlier:
+                continue
+            if v not in defining or connected_avoiding_defs(b.id, v):
+                flagged.add((b.id, v, v not in defining))
+    unreachable = {b.id for b in f.blocks} - reachable
+    return flagged, unreachable, any(t == f.entry for _, t in edges)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ SEC2 = str(CORPUS_DIR / "sec2_loop.ir")
 BOUNDED = str(CORPUS_DIR / "sec2_loop_bounded.ir")
 CONSTS = str(CORPUS_DIR / "straightline_consts.ir")
 IRREDUCIBLE = str(CORPUS_DIR / "reject" / "irreducible.ir")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -202,3 +207,39 @@ def test_opt_warns_when_saturation_is_truncated(capsys):
 
     code, _, err = run(capsys, ["opt", str(nested)])
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("name", ["loop_invariant_chain", "two_loops"])
+def test_opt_variants_and_trace_golden(capsys, name):
+    # Pins the provenance edge order, which depends on the worklist order.
+    argv = ["opt", str(CORPUS_DIR / f"{name}.ir"), "--dump-variants", "--trace"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == golden(f"{name}_variants_trace.txt") + "\n"
+
+
+def test_opt_broken_pipe_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "epathopt.cli", "opt",
+             str(CORPUS_DIR / "loop_invariant_chain.ir"), "--dump-variants"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, code", [("opt", 1), ("check", 2)])
+def test_non_utf8_input_is_a_located_error(capsys, tmp_path, command, code):
+    bad = tmp_path / "utf16.ir"
+    bad.write_bytes(b"\xff\xfe" + "func @f() {".encode("utf-16-le"))
+    exit_code, out, err = run(capsys, [command, str(bad)])
+    assert (exit_code, out) == (code, "")
+    assert err.startswith(f"epath-opt: error: {bad}: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,8 @@ from epathopt import (
     wrap64,
 )
 from conftest import argument_vectors, corpus_paths, golden
-from generators import random_function
+from generators import MUTATIONS, mutate, random_function
+from oracles import brute_validate
 
 IDENTITY = "func @id(v0) {\nb0(v0):\n  ret v0\n}"
 
@@ -209,3 +211,36 @@ def test_validation_soundness_fuzz():
         assert validate(f) == []
         for vector in argument_vectors(len(f.params), count=3):
             interpret(f, vector, 200)
+
+
+def _validate_findings(violations):
+    """`validate`'s use, reachability and entry findings, in the oracle's terms."""
+    use = re.compile(r"b(\d+): use of (undefined value )?v(\d+)( not dominated by its definition)?")
+    flagged, unreachable, entry_preds = set(), set(), False
+    for v in violations:
+        if m := use.fullmatch(v):
+            flagged.add((int(m[1]), int(m[3]), m[2] is not None))
+        elif m := re.fullmatch(r"b(\d+): unreachable", v):
+            unreachable.add(int(m[1]))
+        elif re.fullmatch(r"entry block b\d+ has predecessors", v):
+            entry_preds = True
+    return flagged, unreachable, entry_preds
+
+
+def test_validate_matches_graph_search_oracle_on_mutants():
+    rng = random.Random(0x5EED)
+    seen = {"flagged": 0, "undefined": 0, "unreachable": 0, "entry_preds": 0}
+    for i in range(2400):
+        f = random_function(rng, max_blocks=12)
+        for _ in range(rng.randint(1, 2)):
+            f = mutate(rng, f, rng.choice(MUTATIONS))
+        violations = validate(f)
+        assert not any("undefined block" in v for v in violations), violations
+        expected = brute_validate(f)
+        assert _validate_findings(violations) == expected, (i, print_function(f), violations)
+        flagged, unreachable, entry_preds = expected
+        seen["flagged"] += any(not undefined for _, _, undefined in flagged)
+        seen["undefined"] += any(undefined for _, _, undefined in flagged)
+        seen["unreachable"] += bool(unreachable)
+        seen["entry_preds"] += entry_preds
+    assert min(seen.values()) >= 50, seen

@@ -254,6 +254,19 @@ def test_fold_keeps_live_feeders():
     assert_all_equivalent([s, *outs], "dconst", 1)
 
 
+def test_fold_splices_a_feeder_used_twice_once():
+    # v1 feeds both operands of the fold and nothing else, so its block goes,
+    # and only once.
+    s = from_function(parse_function(
+        "func @f() {\nb0():\n  jump b1()\nb1():\n  v1 = iconst 3\n  jump b2()\n"
+        "b2():\n  v2 = iadd v1, v1\n  ret v2\n}"
+    ))
+    (variant,) = apply_const_fold(s)
+    assert interpret(to_function(variant), [], 10).values == (6,)
+    assert len(variant) == len(s) - 1
+    assert [b.instruction.imm for b in variant.blocks if b.instruction] == [6]
+
+
 def test_fold_icmp_yields_flag():
     (variant,) = apply_const_fold(seq_of("fold_icmp.ir"))
     (const_block,) = [b for b in variant.blocks if b.instruction]
