@@ -3,8 +3,8 @@ fixed-point saturation driver.
 
 Sequences are keyed by structural digest and are never removed or mutated;
 every rewrite only ever grows the set. Insertion deduplicates by digest and
-confirms with a full structural comparison, so hash consing cannot silently
-conflate distinct sequences.
+confirms by comparing canonical texts, which encode the structure one to
+one, so hash consing cannot silently conflate distinct sequences.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ class EPath:
     def insert(self, s: ESequence, edge: RewriteEdge) -> bool:
         """Add a sequence with its provenance edge.
 
-        Returns True if the sequence was new, False if a structurally equal
-        one was already present (the edge is still recorded if itself new).
-        Existing entries are never touched.
+        Returns True if the sequence was new, False if one with the same
+        canonical text was already present (the edge is still recorded if
+        itself new). Existing entries are never touched; a stored sequence
+        with the same digest but another text raises RuntimeError.
         """
         if edge.source not in self._sequences:
             raise ValueError(f"unknown source digest {edge.source}")
@@ -113,10 +114,12 @@ def saturate(
     independent of rule order. `rule_application_counts` counts produced
     rewrite results per rule, duplicates included.
 
-    Rule outputs are canonicalized without validation; only an output whose
-    digest is new is verified (valid SSA, reducible), so each distinct
-    sequence is validated and analyzed once. A duplicate is checked by
-    `EPath.insert` to be structurally equal to the stored, verified one.
+    Rule outputs are canonicalized without validation and carry only their
+    canonical text and digest; only an output whose digest is new is
+    verified (valid SSA, reducible), which builds its blocks, so each
+    distinct sequence is built, validated and analyzed once. A duplicate is
+    checked by `EPath.insert` to have the text of the stored, verified one,
+    and its blocks are never built.
 
     Rules are pure and sequences immutable, so applications over distinct
     sequences could run concurrently with `insert` as the only serialization

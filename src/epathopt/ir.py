@@ -153,7 +153,13 @@ def terminator_values(term: Terminator) -> list[ValueId]:
 
 
 def successors(f: Function, bid: BlockId) -> list[BlockId]:
-    return [t for t, _ in terminator_targets(f.block(bid).terminator)]
+    """The targets of `terminator_targets`, without their arguments."""
+    term = f.block(bid).terminator
+    if isinstance(term, Jump):
+        return [term.target]
+    if isinstance(term, BrIf):
+        return [term.then_target, term.else_target]
+    return []
 
 
 def predecessors(f: Function) -> dict[BlockId, list[BlockId]]:
@@ -490,7 +496,11 @@ def validate(f: Function) -> list[str]:
     violations: list[str] = []
 
     ids = [b.id for b in f.blocks]
-    for bid in sorted({i for i in ids if ids.count(i) > 1}):
+    seen: set[BlockId] = set()
+    duplicates: set[BlockId] = set()
+    for i in ids:
+        (duplicates if i in seen else seen).add(i)
+    for bid in sorted(duplicates):
         violations.append(f"duplicate block id b{bid}")
     if any(b.id < 0 for b in f.blocks):
         violations.append("negative block id")
@@ -570,45 +580,53 @@ def validate(f: Function) -> list[str]:
 
     # Forward availability: a use is legal iff its value is defined on every
     # path from entry (equivalent to dominance under single definitions).
-    avail_in: dict[BlockId, set[ValueId]] = {bid: set(defs) for bid in reachable}
-    avail_in[f.entry] = set()
+    # Sets of values are int bitmasks; bit i stands for the i-th value of
+    # `defs`, in definition order.
+    bit = {v: 1 << i for i, v in enumerate(defs)}
+    block_defs: dict[BlockId, int] = {}
+    for bid in rpo:
+        b = f.block(bid)
+        mask = 0
+        for v in b.params:
+            mask |= bit[v]
+        for instr in b.instructions:
+            mask |= bit[instr.result]
+        block_defs[bid] = mask
+    everything = (1 << len(bit)) - 1
+    avail_in = dict.fromkeys(rpo, everything)
+    avail_in[f.entry] = 0
     changed = True
     while changed:
         changed = False
         for bid in rpo[1:]:
-            incoming = [
-                avail_in[p] | _block_defs(f.block(p)) for p in preds[bid] if p in reachable
-            ]
-            new = set.intersection(*incoming) if incoming else set()
+            new = everything
+            for p in preds[bid]:
+                if p in avail_in:  # unreachable predecessors do not count
+                    new &= avail_in[p] | block_defs[p]
             if new != avail_in[bid]:
                 avail_in[bid] = new
                 changed = True
 
     for bid in sorted(reachable):
         b = f.block(bid)
-        scope = avail_in[bid] | set(b.params)
+        scope = avail_in[bid]
+        for v in b.params:
+            scope |= bit[v]
         for instr in b.instructions:
             for v in instr.operands:
-                violations.extend(_check_use(b, v, scope, defs))
-            scope = scope | {instr.result}
+                violations.extend(_check_use(b, v, scope, bit))
+            scope |= bit[instr.result]
         for v in terminator_values(b.terminator):
-            violations.extend(_check_use(b, v, scope, defs))
+            violations.extend(_check_use(b, v, scope, bit))
 
     return violations
 
 
-def _block_defs(b: Block) -> set[ValueId]:
-    out = set(b.params)
-    for instr in b.instructions:
-        out.add(instr.result)
-    return out
-
-
-def _check_use(b: Block, v: ValueId, scope: set, defs: dict) -> list[str]:
-    if v in scope:
-        return []
-    if v not in defs:
+def _check_use(b: Block, v: ValueId, scope: int, bit: dict[ValueId, int]) -> list[str]:
+    if v not in bit:
         return [f"b{b.id}: use of undefined value {render_value(v)}"]
+    if scope & bit[v]:
+        return []
     return [f"b{b.id}: use of {render_value(v)} not dominated by its definition"]
 
 
@@ -677,6 +695,33 @@ def _step(instr: Instruction, env: dict, effects: list) -> int:
 # Structural renaming (used by canonicalization and by tests)
 
 
+def remap_instruction(instr: Instruction, value_map: dict[ValueId, ValueId]) -> Instruction:
+    return Instruction(
+        instr.opcode,
+        value_map[instr.result],
+        tuple(value_map[v] for v in instr.operands),
+        instr.imm,
+    )
+
+
+def remap_terminator(
+    term: Terminator,
+    value_map: dict[ValueId, ValueId],
+    block_map: dict[BlockId, BlockId],
+) -> Terminator:
+    if isinstance(term, Jump):
+        return Jump(block_map[term.target], tuple(value_map[v] for v in term.args))
+    if isinstance(term, BrIf):
+        return BrIf(
+            value_map[term.cond],
+            block_map[term.then_target],
+            tuple(value_map[v] for v in term.then_args),
+            block_map[term.else_target],
+            tuple(value_map[v] for v in term.else_args),
+        )
+    return Ret(tuple(value_map[v] for v in term.args))
+
+
 def remap(
     f: Function,
     value_map: dict[ValueId, ValueId],
@@ -684,41 +729,18 @@ def remap(
     name: str | None = None,
 ) -> Function:
     """Rewrite every value/block id through the given total maps."""
-
-    def vm(v: ValueId) -> ValueId:
-        return value_map[v]
-
-    def bm(b: BlockId) -> BlockId:
-        return block_map[b]
-
-    def remap_term(term: Terminator) -> Terminator:
-        if isinstance(term, Jump):
-            return Jump(bm(term.target), tuple(vm(v) for v in term.args))
-        if isinstance(term, BrIf):
-            return BrIf(
-                vm(term.cond),
-                bm(term.then_target),
-                tuple(vm(v) for v in term.then_args),
-                bm(term.else_target),
-                tuple(vm(v) for v in term.else_args),
-            )
-        return Ret(tuple(vm(v) for v in term.args))
-
     blocks = tuple(
         Block(
-            bm(b.id),
-            tuple(vm(v) for v in b.params),
-            tuple(
-                Instruction(i.opcode, vm(i.result), tuple(vm(v) for v in i.operands), i.imm)
-                for i in b.instructions
-            ),
-            remap_term(b.terminator),
+            block_map[b.id],
+            tuple(value_map[v] for v in b.params),
+            tuple(remap_instruction(i, value_map) for i in b.instructions),
+            remap_terminator(b.terminator, value_map, block_map),
         )
         for b in f.blocks
     )
     return Function(
         name if name is not None else f.name,
-        tuple(vm(v) for v in f.params),
-        bm(f.entry),
+        tuple(value_map[v] for v in f.params),
+        block_map[f.entry],
         blocks,
     )

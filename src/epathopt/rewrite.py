@@ -1,8 +1,9 @@
 """Rewrite rules over canonical sequences.
 
 A rule is a pure function from one sequence to zero or more new, semantically
-equivalent sequences; it never mutates its input. Rules canonicalize their
-outputs without validating them; `saturate` verifies each new digest.
+equivalent sequences; it never mutates its input. Rules edit a scratch copy
+and hand it straight to `from_function`, which renders and digests it without
+validating it or building its blocks; `saturate` verifies each new digest.
 Shipped rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
@@ -205,9 +206,16 @@ class _WorkBlock:
     instruction: Instruction | None
     terminator: Terminator
 
+    @property
+    def instructions(self) -> tuple[Instruction, ...]:
+        return (self.instruction,) if self.instruction else ()
+
 
 class _Editor:
-    """Mutable scratch copy of a function for building one rewrite result."""
+    """Mutable scratch copy of a function for building one rewrite result.
+
+    Rules hand the finished copy straight to `from_function`, which reads it
+    through `params`, `entry`, `blocks` and `block` like a `Function`."""
 
     def __init__(self, f: Function):
         self.name = f.name
@@ -219,6 +227,13 @@ class _Editor:
         defined = [v for b in f.blocks for v in b.params]
         defined += [b.instruction.result for b in f.blocks if b.instruction]
         self._next_value = max(defined, default=-1) + 1
+
+    @property
+    def params(self) -> tuple[ValueId, ...]:
+        return self.blocks[self.entry].params
+
+    def block(self, bid: BlockId) -> _WorkBlock:
+        return self.blocks[bid]
 
     def fresh_block(self) -> BlockId:
         self._next_block += 1
@@ -271,10 +286,10 @@ class _Editor:
 
     def finish(self) -> Function:
         blocks = tuple(
-            Block(bid, wb.params, (wb.instruction,) if wb.instruction else (), wb.terminator)
+            Block(bid, wb.params, wb.instructions, wb.terminator)
             for bid, wb in sorted(self.blocks.items())
         )
-        return Function(self.name, self.blocks[self.entry].params, self.entry, blocks)
+        return Function(self.name, self.params, self.entry, blocks)
 
 
 def _redirect(term: Terminator, old: BlockId, new: BlockId, make_args) -> Terminator:
@@ -313,7 +328,7 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
     return out
 
 
-def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> Function:
+def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> _Editor:
     ed = _Editor(f)
     header = loop.header
     hoisted = [f.block(bid).instruction for bid in split.invariant_blocks]
@@ -353,7 +368,7 @@ def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> Function:
         term = Jump(chain[i + 1], ()) if i + 1 < len(chain) else Jump(header, final_args)
         ed.blocks[bid] = _WorkBlock((), instr, term)
 
-    return ed.finish()
+    return ed
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +420,7 @@ def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
         site, uses = analyses.def_use[feeder]
         if all(isinstance(u, InstrUse) and u.block == root_bid for u in uses):
             ed.try_splice(site.block)
-    return from_function(ed.finish(), checked=False)
+    return from_function(ed, checked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +437,7 @@ def apply_broken(s: ESequence, analyses: Analyses | None = None) -> list[ESequen
             ed.blocks[b.id].instruction = Instruction(
                 "iconst", instr.result, (), wrap64(instr.imm + 1)
             )
-            return [from_function(ed.finish(), checked=False)]
+            return [from_function(ed, checked=False)]
     return []
 
 

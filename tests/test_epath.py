@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -271,3 +272,72 @@ def test_duplicate_output_is_not_validated(monkeypatch):
     assert (report.inserted, report.deduplicated) == (0, 1)
     assert calls == {}
     assert [(e.source, e.target) for e in p.edges] == [(seed.digest, seed.digest)]
+
+
+@pytest.mark.parametrize("name", ["diamond_consts.ir", "loop_exit_use.ir", "two_loops.ir"])
+def test_duplicate_output_is_never_built(monkeypatch, name):
+    import epathopt.esequence as esequence
+
+    seed = seed_of(name)
+    p = EPath(seed)
+    calls = {}
+    _count_calls(monkeypatch, esequence, "_build_blocks", calls)
+    _count_calls(monkeypatch, esequence, "print_function", calls)
+    outputs = []
+
+    def recorded(rule):
+        def apply(s, analyses):
+            out = rule.apply(s, analyses)
+            outputs.extend(out)
+            return out
+
+        return RewriteRule(rule.name, apply)
+
+    report = saturate(p, [recorded(rule) for rule in RULES])
+    assert report.deduplicated > 0
+    # Every new digest is built once, by `verify`; nothing is printed.
+    assert calls == {"_build_blocks": report.inserted}
+    duplicates = [out for out in outputs if p.sequence(out.digest) is not out]
+    assert len(duplicates) == report.deduplicated
+    assert all("blocks" not in vars(out) for out in duplicates)
+    for s in p.variants():  # cached: reading blocks again builds nothing
+        assert len(s.blocks) > 0
+    assert calls == {"_build_blocks": report.inserted}
+
+
+def test_insert_raises_on_digest_collision():
+    a = seed_of("sec2_loop.ir")
+    b = seed_of("loop_single_inv.ir")
+    assert a != b and len(a.params) == len(b.params)
+    p = EPath(a)
+    forged = dataclasses.replace(b, digest=a.digest)
+    with pytest.raises(RuntimeError, match="digest collision"):
+        p.insert(forged, RewriteEdge(a.digest, a.digest, "forged"))
+    assert p.variants() == [a]
+
+
+def _fold_chain(sites):
+    """`sites` independent `iadd(iconst, iconst)` folds: 2**sites variants."""
+    lines = ["func @chain() {"]
+    for i in range(sites):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        lines += [f"b{a}():", f"  v{a} = iconst {i}", f"  jump b{b}()"]
+        lines += [f"b{b}():", f"  v{b} = iconst {i + 1}", f"  jump b{c}()"]
+        lines += [f"b{c}():", f"  v{c} = iadd v{a}, v{b}", f"  jump b{c + 1}()"]
+    lines += [f"b{3 * sites}():", f"  ret v{3 * sites - 1}", "}"]
+    return parse_function("\n".join(lines))
+
+
+def test_saturate_raises_on_digest_collision(monkeypatch):
+    import epathopt.esequence as esequence
+
+    f = _fold_chain(6)
+    p = EPath(from_function(f))
+    saturate(p, RULES)
+    assert len(p) == 64
+
+    # With one-byte digests, two of this closure's 64 sequences share one;
+    # the new one is looked up, skips validation and must still be refused.
+    monkeypatch.setattr(esequence, "DIGEST_BYTES", 1)
+    with pytest.raises(RuntimeError, match="digest collision"):
+        saturate(EPath(from_function(f)), RULES)

@@ -17,6 +17,7 @@ from epathopt import (
     validate,
 )
 from conftest import corpus_paths, golden, load_corpus
+from generators import random_function
 
 
 def _alpha_rename(f, rng):
@@ -138,3 +139,33 @@ def test_dot_emission():
     assert dot.count("->") == 4
     assert '[label="then"]' in dot and '[label="else"]' in dot
     assert to_dot(s, "diamond") == dot
+
+
+def _closure_and_outputs(f, rules):
+    """Every variant of `f`'s closure, then every rule output built from
+    them, duplicates included."""
+    p = EPath(from_function(f))
+    saturate(p, rules)
+    variants = p.variants()
+    outputs = [out for s in variants for rule in rules for out in rule.apply(s, s.analyses)]
+    return variants + outputs
+
+
+def test_text_and_digest_match_the_printed_oracle():
+    rules = rules_named(["licm", "constfold"])
+    functions = [parse_function(path.read_text()) for path in corpus_paths()]
+    rng = random.Random(41)
+    functions += [random_function(rng, max_blocks=12) for _ in range(200)]
+    checked = 0
+    for f in functions:
+        for s in _closure_and_outputs(f, rules):
+            assert s.text == print_function(to_function(s)), f.name
+            assert s.digest == canonical_hash(s), f.name
+            checked += 1
+    assert checked > len(functions)
+
+    for path in corpus_paths():
+        f = parse_function(path.read_text())
+        s = from_function(f)
+        g = from_function(_alpha_rename(f, rng))
+        assert g == s and hash(g) == hash(s) and g.text == s.text, path.name

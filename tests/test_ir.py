@@ -244,3 +244,11 @@ def test_validate_matches_graph_search_oracle_on_mutants():
         seen["unreachable"] += bool(unreachable)
         seen["entry_preds"] += entry_preds
     assert min(seen.values()) >= 50, seen
+
+
+def test_validate_names_each_duplicate_block_id_once():
+    ret = Block(0, (), (), Ret(()))
+    blocks = [ret, Block(2, (), (), Ret(())), Block(1, (), (), Ret(()))]
+    blocks += [Block(1, (), (), Ret(())), Block(2, (), (), Ret(())), Block(2, (), (), Ret(()))]
+    f = Function("f", (), 0, tuple(blocks))
+    assert validate(f) == ["duplicate block id b1", "duplicate block id b2"]

@@ -340,3 +340,15 @@ def test_splicing_entry_that_passes_arguments_raises():
     ))
     with pytest.raises(ValueError, match="cannot splice entry block b0"):
         _Editor(f).try_splice(0)
+
+
+def test_working_copy_canonicalizes_like_its_finished_function():
+    f = load_corpus()["sec2_loop.ir"]
+    ed = _Editor(f)
+    assert from_function(ed, checked=False) == from_function(ed.finish())
+
+    # An invalid working copy is reported with the violations of its
+    # finished function.
+    ed.blocks[f.entry].terminator = Ret((99,))
+    with pytest.raises(ValueError, match="use of undefined value v99"):
+        from_function(ed, checked=False)

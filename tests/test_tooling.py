@@ -1,0 +1,63 @@
+"""The benchmark's tracer patches the program's functions by name: these
+tests fail when a name it wraps is renamed or an import it relies on is
+dropped, before a traced benchmark run crashes on it."""
+
+import importlib
+import types
+from pathlib import Path
+
+from epathopt import cli, rewrite
+from epathopt.analysis import Analyses
+from epathopt.epath import EPath
+from conftest import CORPUS_DIR
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer() -> types.ModuleType:
+    """Executes the tracer's source without importing it as a package file,
+    so nothing is written next to it."""
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER_PATH)
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_name_resolves_where_it_is_patched():
+    tracer = _load_tracer()
+    assert tracer.FUNCTION_WRAPS
+    for module_name, attr, _span in tracer.FUNCTION_WRAPS:
+        module = importlib.import_module(module_name)
+        assert callable(module.__dict__.get(attr)), f"{module_name}.{attr}"
+    assert callable(EPath.__dict__["insert"])
+    assert isinstance(Analyses.__dict__["compute"], classmethod)
+    assert rewrite.RULES and all(
+        isinstance(rule, rewrite.RewriteRule) and callable(rule.apply)
+        for rule in rewrite.RULES.values()
+    )
+
+
+def test_tracer_installs_counts_and_restores(capsys):
+    tracer = _load_tracer()
+    before = {
+        (module_name, attr): importlib.import_module(module_name).__dict__[attr]
+        for module_name, attr, _span in tracer.FUNCTION_WRAPS
+    }
+    rules_before = dict(rewrite.RULES)
+    insert_before = EPath.__dict__["insert"]
+
+    t = tracer.Tracer()
+    with t.installed():
+        code = cli.main(["opt", str(CORPUS_DIR / "two_loops.ir")])
+    capsys.readouterr()
+
+    assert code == 0
+    assert t.counts["cli.calls"] == 1
+    assert t.counts["epath.insert.calls"] == (
+        t.counts["epath.insert.new"] + t.counts["epath.insert.dup"]
+    ) > 0
+    assert t.counts["esequence.from_function.calls"] > t.counts["ir.validate.calls"] > 0
+    for (module_name, attr), original in before.items():
+        assert importlib.import_module(module_name).__dict__[attr] is original
+    assert rewrite.RULES == rules_before
+    assert EPath.__dict__["insert"] is insert_before
