@@ -234,6 +234,7 @@ class Analyses:
 
     function: Function
     rpo: list[BlockId]
+    preds: dict[BlockId, list[BlockId]]
     idom: dict[BlockId, BlockId]
     back_edges: set[tuple[BlockId, BlockId]]
     loops: list[LoopRegion]
@@ -249,4 +250,4 @@ class Analyses:
         back = _back_edges(f, rpo, idom)
         loops = [_natural_loop(f, h, back, preds) for h in sorted({t for _, t in back})]
         loops.sort(key=lambda r: (-len(r.body), r.header))
-        return cls(f, rpo, idom, back, loops, def_use(f))
+        return cls(f, rpo, preds, idom, back, loops, def_use(f))

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .analysis import Analyses
 from .epath import EPath
-from .esequence import ESequence, analyze, to_function
-from .ir import OPCODE_ARITY, print_function
+from .esequence import ESequence, analyze
+from .ir import OPCODE_ARITY
+from .ir import print_function  # noqa: F401  kept by name: perfbench/tracer.py wraps it here
 
 
 class Ordering(enum.Enum):
@@ -145,7 +146,7 @@ def cost_of(
 
 
 def sort_by_cost(variants: list[ESequence], table: CostTable | None = None) -> list[ESequence]:
-    """Ascending cost, ties broken by canonical printed form.
+    """Ascending cost, ties broken by canonical printed form (`s.text`).
 
     On normalized polynomials, (degree, coefficients from the highest down)
     orders exactly as `compare` does.
@@ -154,7 +155,7 @@ def sort_by_cost(variants: list[ESequence], table: CostTable | None = None) -> l
 
     def key(s: ESequence):
         cost = cost_of(s, table)
-        return cost.degree, cost.coefficients[::-1], print_function(to_function(s))
+        return cost.degree, cost.coefficients[::-1], s.text
 
     return sorted(variants, key=key)
 

@@ -421,9 +421,10 @@ def parse_file(text: str) -> list[Function]:
     functions: list[Function] = []
     seen = set()
     while not parser.at_end():
+        header_line = parser.lines[parser.index].line_no
         f = parser.parse_function()
         if f.name in seen:
-            raise ParseError(f"duplicate function name @{f.name}", 1)
+            raise ParseError(f"duplicate function name @{f.name}", header_line)
         seen.add(f.name)
         functions.append(f)
     if not functions:
@@ -635,7 +636,14 @@ def _check_use(b: Block, v: ValueId, scope: int, bit: dict[ValueId, int]) -> lis
 
 
 def interpret(f: Function, args: list[int], fuel: int) -> InterpResult:
-    """Small-step execution; each entered block consumes one unit of fuel."""
+    """Small-step execution; each entered block consumes one unit of fuel.
+
+    A run that enters a block in a state it was in before (same block, same
+    incoming arguments, same values) stops at once with `FuelExhausted`: the
+    interpreter is deterministic and that state fixes everything it does
+    next, so the run would repeat that stretch forever without returning.
+    The repeat is found by Brent's cycle detection, comparing each state with
+    one saved state that is re-saved at steps 1, 2, 4, 8, ..."""
     if len(args) != len(f.params):
         raise ValueError(
             f"@{f.name} takes {len(f.params)} arguments, got {len(args)}"
@@ -643,32 +651,43 @@ def interpret(f: Function, args: list[int], fuel: int) -> InterpResult:
     if fuel <= 0:
         raise ValueError("fuel must be positive")
 
+    blocks = f._by_id
     env: dict[ValueId, int] = {}
     effects: list[tuple[str, int]] = []
     current = f.entry
-    incoming = tuple(wrap64(a) for a in args)
+    incoming = tuple([wrap64(a) for a in args])
+    saved_block, saved_incoming, saved_env = None, None, None
+    step, next_save = 0, 1
 
     while True:
+        if current == saved_block and incoming == saved_incoming and env == saved_env:
+            return FuelExhausted()
+        step += 1
+        if step == next_save:
+            saved_block, saved_incoming, saved_env = current, incoming, env.copy()
+            next_save <<= 1
         if fuel == 0:
             return FuelExhausted()
         fuel -= 1
-        block = f.block(current)
-        env.update(zip(block.params, incoming))
 
+        block = blocks[current]
+        if incoming:
+            env.update(zip(block.params, incoming))
         for instr in block.instructions:
             env[instr.result] = _step(instr, env, effects)
 
         term = block.terminator
-        if isinstance(term, Ret):
-            return Returned(tuple(env[v] for v in term.args), tuple(effects))
-        if isinstance(term, Jump):
+        kind = type(term)
+        if kind is Jump:
             current, arg_ids = term.target, term.args
-        else:
-            if env[term.cond] != 0:
+        elif kind is BrIf:
+            if env[term.cond]:
                 current, arg_ids = term.then_target, term.then_args
             else:
                 current, arg_ids = term.else_target, term.else_args
-        incoming = tuple(env[v] for v in arg_ids)
+        else:
+            return Returned(tuple([env[v] for v in term.args]), tuple(effects))
+        incoming = tuple([env[v] for v in arg_ids]) if arg_ids else ()
 
 
 def _step(instr: Instruction, env: dict, effects: list) -> int:
@@ -679,7 +698,8 @@ def _step(instr: Instruction, env: dict, effects: list) -> int:
         value = env[instr.operands[0]]
         effects.append(("eff", value))
         return value
-    a, b = (env[v] for v in instr.operands)
+    x, y = instr.operands
+    a, b = env[x], env[y]
     if op == "iadd":
         return wrap64(a + b)
     if op == "isub":

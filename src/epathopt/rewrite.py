@@ -16,6 +16,7 @@ Shipped rules:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +33,7 @@ from .ir import (
     OPCODE_ARITY,
     Terminator,
     ValueId,
+    predecessors,
     terminator_targets,
     wrap64,
 )
@@ -215,14 +217,23 @@ class _Editor:
     """Mutable scratch copy of a function for building one rewrite result.
 
     Rules hand the finished copy straight to `from_function`, which reads it
-    through `params`, `entry`, `blocks` and `block` like a `Function`."""
+    through `params`, `entry`, `blocks` and `block` like a `Function`.
 
-    def __init__(self, f: Function):
+    The copy keeps every block's predecessors, sorted by block id, as
+    `predecessors` lists them. It starts from `preds`, `f`'s own map (rules
+    pass `Analyses.preds`), and stays right as long as terminators change
+    only through `set_terminator` and blocks come and go only through
+    `add_block` and `try_splice`."""
+
+    def __init__(self, f: Function, preds: dict[BlockId, list[BlockId]] | None = None):
         self.name = f.name
         self.entry = f.entry
         self.blocks: dict[BlockId, _WorkBlock] = {
             b.id: _WorkBlock(b.params, b.instruction, b.terminator) for b in f.blocks
         }
+        if preds is None:
+            preds = predecessors(f)
+        self._preds = {bid: list(ps) for bid, ps in preds.items()}
         self._next_block = max(self.blocks) + 1
         defined = [v for b in f.blocks for v in b.params]
         defined += [b.instruction.result for b in f.blocks if b.instruction]
@@ -244,11 +255,21 @@ class _Editor:
         return self._next_value - 1
 
     def preds(self, bid: BlockId) -> list[BlockId]:
-        return sorted(
-            p
-            for p, wb in self.blocks.items()
-            if any(t == bid for t, _ in terminator_targets(wb.terminator))
-        )
+        return list(self._preds[bid])
+
+    def set_terminator(self, bid: BlockId, term: Terminator) -> None:
+        old, new = _targets(self.blocks[bid].terminator), _targets(term)
+        for t in old - new:
+            self._preds[t].remove(bid)
+        for t in new - old:
+            insort(self._preds.setdefault(t, []), bid)
+        self.blocks[bid].terminator = term
+
+    def add_block(self, bid: BlockId, wb: _WorkBlock) -> None:
+        self.blocks[bid] = wb
+        self._preds.setdefault(bid, [])
+        for t in _targets(wb.terminator):
+            insort(self._preds.setdefault(t, []), bid)
 
     def try_splice(self, bid: BlockId) -> bool:
         """Remove a parameterless jump-only block, rewiring its predecessors
@@ -278,10 +299,12 @@ class _Editor:
             updates[p] = new_term
 
         for p, new_term in updates.items():
-            self.blocks[p].terminator = new_term
+            self.set_terminator(p, new_term)
         if bid == self.entry:
             self.entry = target
         del self.blocks[bid]
+        del self._preds[bid]
+        self._preds[target].remove(bid)
         return True
 
     def finish(self) -> Function:
@@ -290,6 +313,10 @@ class _Editor:
             for bid, wb in sorted(self.blocks.items())
         )
         return Function(self.name, self.params, self.entry, blocks)
+
+
+def _targets(term: Terminator) -> set[BlockId]:
+    return {t for t, _ in terminator_targets(term)}
 
 
 def _redirect(term: Terminator, old: BlockId, new: BlockId, make_args) -> Terminator:
@@ -324,12 +351,13 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
     for loop in analyses.loops:
         split = classify_invariance(loop, s, analyses)
         if split.invariant_blocks:
-            out.append(from_function(_hoist(analyses.function, loop, split), checked=False))
+            out.append(from_function(_hoist(analyses, loop, split), checked=False))
     return out
 
 
-def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> _Editor:
-    ed = _Editor(f)
+def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
+    f = analyses.function
+    ed = _Editor(f, analyses.preds)
     header = loop.header
     hoisted = [f.block(bid).instruction for bid in split.invariant_blocks]
 
@@ -351,22 +379,20 @@ def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> _Editor:
         p = entry_preds[0]
         term = ed.blocks[p].terminator
         final_args = next(a for t, a in terminator_targets(term) if t == header)
-        ed.blocks[p].terminator = _redirect(term, header, chain[0], lambda _: ())
+        ed.set_terminator(p, _redirect(term, header, chain[0], lambda _: ()))
     else:
         # Multiple entry edges merge through one forwarding block so hoisted
         # results keep dominating their uses inside the loop.
         merge = ed.fresh_block()
         fresh = tuple(ed.fresh_value() for _ in ed.blocks[header].params)
-        ed.blocks[merge] = _WorkBlock(fresh, None, Jump(chain[0], ()))
+        ed.add_block(merge, _WorkBlock(fresh, None, Jump(chain[0], ())))
         for p in entry_preds:
-            ed.blocks[p].terminator = _redirect(
-                ed.blocks[p].terminator, header, merge, lambda a: a
-            )
+            ed.set_terminator(p, _redirect(ed.blocks[p].terminator, header, merge, lambda a: a))
         final_args = fresh
 
     for i, (bid, instr) in enumerate(zip(chain, hoisted)):
         term = Jump(chain[i + 1], ()) if i + 1 < len(chain) else Jump(header, final_args)
-        ed.blocks[bid] = _WorkBlock((), instr, term)
+        ed.add_block(bid, _WorkBlock((), instr, term))
 
     return ed
 
@@ -376,10 +402,6 @@ def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> _Editor:
 
 
 _FOLDABLE = ("iadd", "isub", "imul", "icmp_slt")
-_FOLD_PATTERNS = [
-    ExprPattern("root", PatOp(opcode, (PatOp("iconst", imm="a"), PatOp("iconst", imm="b"))))
-    for opcode in _FOLDABLE
-]
 
 
 def fold_constants(opcode: str, a: int, b: int) -> int:
@@ -400,15 +422,31 @@ def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESe
     rewritten to the folded constant and dead constant feeders straightened
     out of the block chain."""
     analyses = analyses or analyze(s)
-    return [
-        _fold_at(analyses, pattern.tree.opcode, m)
-        for pattern in _FOLD_PATTERNS
-        for m in match_expression(pattern, s)
-    ]
+    return [_fold_at(analyses, opcode, m) for opcode, m in _fold_sites(analyses.function)]
+
+
+def _fold_sites(f: Function) -> list[tuple[str, dict[str, int]]]:
+    """Every `op(iconst, iconst)` site for `op` in `_FOLDABLE`, in one scan:
+    ordered by `_FOLDABLE`, then by block order, with the bindings that
+    `match_expression` gives for `op(iconst a, iconst b)` rooted at `root`."""
+    consts: dict[ValueId, int] = {}
+    candidates: list[Instruction] = []
+    for b in f.blocks:
+        for instr in b.instructions:
+            if instr.opcode == "iconst":
+                consts[instr.result] = instr.imm
+            elif instr.opcode in _FOLDABLE:
+                candidates.append(instr)
+    sites: dict[str, list[dict[str, int]]] = {op: [] for op in _FOLDABLE}
+    for instr in candidates:
+        x, y = instr.operands
+        if x in consts and y in consts:
+            sites[instr.opcode].append({"a": consts[x], "b": consts[y], "root": instr.result})
+    return [(op, m) for op in _FOLDABLE for m in sites[op]]
 
 
 def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
-    ed = _Editor(analyses.function)
+    ed = _Editor(analyses.function, analyses.preds)
     root_bid = analyses.def_use[m["root"]][0].block
     old = ed.blocks[root_bid].instruction
     folded = fold_constants(opcode, m["a"], m["b"])

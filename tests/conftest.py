@@ -3,7 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from epathopt import Function, interpret, parse_function, to_function
+from epathopt import (
+    EPath,
+    ESequence,
+    Function,
+    from_function,
+    interpret,
+    parse_function,
+    rules_named,
+    saturate,
+    to_function,
+)
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -58,6 +68,13 @@ def golden(name: str) -> str:
 def argument_vectors(n_params: int, count: int = ORACLE_VECTORS) -> list[list[int]]:
     rng = random.Random(ORACLE_SEED)
     return [[rng.randrange(-100, 101) for _ in range(n_params)] for _ in range(count)]
+
+
+def closure(f: Function) -> list[ESequence]:
+    """Every variant of `f`'s saturated e-path under the default rules."""
+    p = EPath(from_function(f))
+    saturate(p, rules_named(["licm", "constfold"]))
+    return p.variants()
 
 
 def assert_all_equivalent(sequences, name: str, n_params: int):

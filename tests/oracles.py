@@ -6,7 +6,19 @@ exhaustive enumeration) rather than reusing the library's algorithms.
 
 import itertools
 
-from epathopt import PatOp, PatVar, analyze, dominators, terminator_targets, terminator_values
+from epathopt import (
+    FuelExhausted,
+    Jump,
+    PatOp,
+    PatVar,
+    Ret,
+    Returned,
+    analyze,
+    dominators,
+    terminator_targets,
+    terminator_values,
+    wrap64,
+)
 
 
 def _edges(f):
@@ -171,3 +183,56 @@ def brute_validate(f):
                 flagged.add((b.id, v, v not in defining))
     unreachable = {b.id for b in f.blocks} - reachable
     return flagged, unreachable, any(t == f.entry for _, t in edges)
+
+
+def brute_interpret(f, args, fuel):
+    """`interpret` as a plain walk: no state is tracked, so a run that never
+    returns stops only when its fuel runs out."""
+    if len(args) != len(f.params):
+        raise ValueError(f"@{f.name} takes {len(f.params)} arguments, got {len(args)}")
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+
+    env = {}
+    effects = []
+    current = f.entry
+    incoming = tuple(wrap64(a) for a in args)
+    while True:
+        if fuel == 0:
+            return FuelExhausted()
+        fuel -= 1
+        block = f.block(current)
+        env.update(zip(block.params, incoming))
+        for instr in block.instructions:
+            env[instr.result] = _brute_step(instr, env, effects)
+        term = block.terminator
+        if isinstance(term, Ret):
+            return Returned(tuple(env[v] for v in term.args), tuple(effects))
+        if isinstance(term, Jump):
+            current, arg_ids = term.target, term.args
+        else:
+            if env[term.cond] != 0:
+                current, arg_ids = term.then_target, term.then_args
+            else:
+                current, arg_ids = term.else_target, term.else_args
+        incoming = tuple(env[v] for v in arg_ids)
+
+
+def _brute_step(instr, env, effects):
+    op = instr.opcode
+    if op == "iconst":
+        return wrap64(instr.imm)
+    if op == "sideeffect":
+        value = env[instr.operands[0]]
+        effects.append(("eff", value))
+        return value
+    a, b = (env[v] for v in instr.operands)
+    if op == "iadd":
+        return wrap64(a + b)
+    if op == "isub":
+        return wrap64(a - b)
+    if op == "imul":
+        return wrap64(a * b)
+    if op == "icmp_slt":
+        return 1 if a < b else 0
+    raise ValueError(f"unknown opcode {op!r}")

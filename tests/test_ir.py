@@ -17,12 +17,14 @@ from epathopt import (
     parse_file,
     parse_function,
     print_function,
+    to_function,
     validate,
     wrap64,
 )
-from conftest import argument_vectors, corpus_paths, golden
+from epathopt import ir
+from conftest import argument_vectors, closure, corpus_paths, golden, load_corpus
 from generators import MUTATIONS, mutate, random_function
-from oracles import brute_validate
+from oracles import brute_interpret, brute_validate
 
 IDENTITY = "func @id(v0) {\nb0(v0):\n  ret v0\n}"
 
@@ -79,6 +81,7 @@ def test_parse_comments_and_whitespace():
         ("func @f() {\nb0():\n  v0 = iconst 1\n  ret v9\n}", "undefined value", 1),
         ("func @f(v0, v0) {\nb0(v0, v0):\n  ret\n}", "defined more than once", 1),
         ("func @f() {\nb0():\n  jump b7()\n}", "undefined block", 1),
+        (IDENTITY + "\n\n" + IDENTITY, "duplicate function name @id", 6),
     ],
 )
 def test_parse_errors(text, fragment, line):
@@ -195,6 +198,62 @@ def test_interpret_deterministic():
     f = parse_function((corpus_paths()[0].parent / "loop_conditional_body.ir").read_text())
     for vector in argument_vectors(1, count=4):
         assert interpret(f, vector, 500) == interpret(f, vector, 500)
+
+
+def _random_fuel(rng):
+    return rng.randint(1, 12) if rng.random() < 0.4 else rng.randint(1, 1000)
+
+
+def test_interpret_matches_plain_walk_oracle():
+    rng = random.Random(0x1E7)
+    functions = list(load_corpus().values())
+    functions += [random_function(rng, max_blocks=12, name=f"r{i}") for i in range(200)]
+    seen = {"returned": 0, "exhausted": 0, "small_fuel": 0}
+    for f in functions:
+        for s in closure(f):
+            g = to_function(s, f.name)
+            for _ in range(3):
+                args = [rng.randint(-60, 60) for _ in g.params]
+                fuel = _random_fuel(rng)
+                expected = brute_interpret(g, args, fuel)
+                assert interpret(g, args, fuel) == expected, (print_function(g), args, fuel)
+                seen["returned" if isinstance(expected, Returned) else "exhausted"] += 1
+                seen["small_fuel"] += fuel <= 12
+    assert min(seen.values()) >= 100, seen
+
+
+SPIN = "func @spin() {\nb0():\n  jump b1()\nb1():\n  v0 = iconst 1\n  jump b1()\n}"
+# v1 alternates 7, -7, 7, ...: the state repeats every two blocks.
+FLIP = (
+    "func @flip(v0) {\nb0(v0):\n  jump b1(v0)\nb1(v1):\n  v2 = iconst 0\n  jump b2()\n"
+    "b2():\n  v3 = isub v2, v1\n  jump b1(v3)\n}"
+)
+
+
+@pytest.mark.parametrize("text,args", [(SPIN, []), (FLIP, [7])])
+def test_interpret_stops_a_run_at_a_repeated_state(monkeypatch, text, args):
+    f = parse_function(text)
+    steps = []
+    step = ir._step
+    monkeypatch.setattr(ir, "_step", lambda *a: steps.append(1) or step(*a))
+    assert interpret(f, args, 10**6) == FuelExhausted()
+    # every block but the entry runs one instruction, so this counts blocks
+    assert 0 < len(steps) <= 8, len(steps)
+
+
+def test_interpret_agrees_with_oracle_at_every_fuel_when_no_state_repeats():
+    corpus = load_corpus()
+    bounded = corpus["sec2_loop_bounded.ir"]
+    fuel = 1
+    while isinstance(expected := brute_interpret(bounded, [0], fuel), FuelExhausted):
+        assert interpret(bounded, [0], fuel) == expected, fuel
+        fuel += 1
+    assert interpret(bounded, [0], fuel) == expected == Returned((10,), ())
+    assert fuel > 20
+
+    unbounded = corpus["sec2_loop.ir"]
+    for fuel in range(1, 201):
+        assert interpret(unbounded, [0], fuel) == brute_interpret(unbounded, [0], fuel)
 
 
 def test_wrap64_bounds():

@@ -25,8 +25,9 @@ from epathopt import (
     rules_named,
     to_function,
 )
-from epathopt.rewrite import _Editor
-from conftest import argument_vectors, assert_all_equivalent, golden, load_corpus
+from epathopt.ir import predecessors
+from epathopt.rewrite import _FOLDABLE, _Editor, _fold_sites, _hoist
+from conftest import argument_vectors, assert_all_equivalent, closure, golden, load_corpus
 from generators import random_function
 from oracles import brute_matches
 
@@ -352,3 +353,52 @@ def test_working_copy_canonicalizes_like_its_finished_function():
     ed.blocks[f.entry].terminator = Ret((99,))
     with pytest.raises(ValueError, match="use of undefined value v99"):
         from_function(ed, checked=False)
+
+
+def _assert_preds_current(ed):
+    finished = ed.finish()
+    expected = predecessors(finished)
+    for b in finished.blocks:
+        assert ed.preds(b.id) == expected[b.id], (b.id, print_function(finished))
+
+
+def test_editor_predecessors_stay_current_through_splices_and_hoists():
+    rng = random.Random(0x9E5)
+    spliced = hoisted = 0
+    for i in range(300):
+        f = random_function(rng, max_blocks=12, name=f"g{i}")
+        s = from_function(f)
+        analyses = analyze(s)
+        # Rules start from the canonical function's cached map.
+        ed = _Editor(analyses.function, analyses.preds) if i % 2 else _Editor(f)
+        _assert_preds_current(ed)
+        for bid in rng.sample(sorted(ed.blocks), k=len(ed.blocks)):
+            try:
+                spliced += ed.try_splice(bid)
+            except ValueError:
+                continue
+            _assert_preds_current(ed)
+
+        for loop in analyses.loops:
+            split = classify_invariance(loop, s, analyses)
+            if split.invariant_blocks:
+                _assert_preds_current(_hoist(analyses, loop, split))
+                hoisted += 1
+    assert spliced >= 300 and hoisted >= 30, (spliced, hoisted)
+
+
+def test_fold_sites_equal_match_expression_per_pattern():
+    patterns = [
+        ExprPattern("root", PatOp(op, (PatOp("iconst", imm="a"), PatOp("iconst", imm="b"))))
+        for op in _FOLDABLE
+    ]
+    rng = random.Random(0xF01D)
+    functions = list(load_corpus().values())
+    functions += [random_function(rng, max_blocks=12) for _ in range(200)]
+    found = 0
+    for f in functions:
+        for s in closure(f):
+            expected = [(p.tree.opcode, m) for p in patterns for m in match_expression(p, s)]
+            assert _fold_sites(s.analyses.function) == expected, print_function(to_function(s))
+            found += len(expected)
+    assert found >= 100, found
