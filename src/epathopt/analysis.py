@@ -1,6 +1,6 @@
 """Classical CFG analyses: dominators, back edges, natural loops, and
-def-use chains, built on the CFG walks in `ir` (reverse postorder,
-predecessors), which this module re-exports.
+def-use chains, built on the CFG walks a `Function` keeps (`rpo`, `preds`).
+This module re-exports `reverse_postorder`.
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -14,7 +14,6 @@ from .ir import (
     BlockId,
     Function,
     ValueId,
-    predecessors,
     reverse_postorder,
     successors,
     terminator_values,
@@ -73,18 +72,13 @@ DefSite = ParamDef | InstrDef
 UseSite = InstrUse | TermUse
 
 
-def dominators(
-    f: Function,
-    rpo: list[BlockId] | None = None,
-    preds: dict[BlockId, list[BlockId]] | None = None,
-) -> dict[BlockId, BlockId]:
+def dominators(f: Function) -> dict[BlockId, BlockId]:
     """Immediate dominators via fixed-point iteration over reverse postorder
-    (Cooper, Harvey and Kennedy). Pass `rpo` and `preds` when already known.
+    (Cooper, Harvey and Kennedy), read from the walks `f` keeps.
 
     The entry block maps to itself.
     """
-    rpo = rpo if rpo is not None else reverse_postorder(f)
-    preds = preds if preds is not None else predecessors(f)
+    rpo, preds = f.rpo, f.preds
     index = {bid: i for i, bid in enumerate(rpo)}
     idom: dict[BlockId, BlockId] = {f.entry: f.entry}
 
@@ -130,15 +124,13 @@ def find_back_edges(f: Function) -> set[tuple[BlockId, BlockId]]:
     return Analyses.compute(f).back_edges
 
 
-def _back_edges(
-    f: Function, rpo: list[BlockId], idom: dict[BlockId, BlockId]
-) -> set[tuple[BlockId, BlockId]]:
+def _back_edges(f: Function, idom: dict[BlockId, BlockId]) -> set[tuple[BlockId, BlockId]]:
     """Back edges read off reverse postorder: an edge is retreating when its
     target's index is at most its source's, and every retreating edge of a
     reducible graph targets a dominator of its source."""
-    index = {bid: i for i, bid in enumerate(rpo)}
+    index = {bid: i for i, bid in enumerate(f.rpo)}
     edges = set()
-    for src in rpo:
+    for src in f.rpo:
         for dst in successors(f, src):
             if index[dst] <= index[src]:
                 if not dominates(idom, dst, src):
@@ -183,10 +175,7 @@ def natural_loop(f: Function, back_edge: tuple[BlockId, BlockId]) -> LoopRegion:
 
 
 def _natural_loop(
-    f: Function,
-    header: BlockId,
-    back: set[tuple[BlockId, BlockId]],
-    preds: dict[BlockId, list[BlockId]],
+    f: Function, header: BlockId, back: set[tuple[BlockId, BlockId]]
 ) -> LoopRegion:
     merged = frozenset(e for e in back if e[1] == header)
     body = {header}
@@ -196,7 +185,7 @@ def _natural_loop(
         if bid in body:
             continue
         body.add(bid)
-        work.extend(preds[bid])
+        work.extend(f.preds[bid])
     return LoopRegion(header, frozenset(body), merged, f.block(header).params)
 
 
@@ -229,7 +218,8 @@ def def_use(f: Function) -> dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]:
 class Analyses:
     """Per-function analysis bundle shared by rewrites and cost evaluation.
 
-    Read-only: `ESequence.analyses` caches one bundle per sequence.
+    Read-only: `ESequence.analyses` caches one bundle per sequence. `rpo`
+    and `preds` are the walks `function` keeps.
     """
 
     function: Function
@@ -242,12 +232,10 @@ class Analyses:
 
     @classmethod
     def compute(cls, f: Function) -> "Analyses":
-        """One pass: RPO, predecessors and dominators once, back edges and
+        """One pass: dominators over the walks `f` keeps, back edges and
         loops read off them. Raises IrreducibleError."""
-        rpo = reverse_postorder(f)
-        preds = predecessors(f)
-        idom = dominators(f, rpo, preds)
-        back = _back_edges(f, rpo, idom)
-        loops = [_natural_loop(f, h, back, preds) for h in sorted({t for _, t in back})]
+        idom = dominators(f)
+        back = _back_edges(f, idom)
+        loops = [_natural_loop(f, h, back) for h in sorted({t for _, t in back})]
         loops.sort(key=lambda r: (-len(r.body), r.header))
-        return cls(f, rpo, preds, idom, back, loops, def_use(f))
+        return cls(f, f.rpo, f.preds, idom, back, loops, def_use(f))

@@ -22,6 +22,7 @@ with wrapping arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 ValueId = int
 BlockId = int
@@ -118,6 +119,22 @@ class Function:
 
     def has_block(self, bid: BlockId) -> bool:
         return bid in self._by_id
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """What `validate` reports, checked on first use and kept. The blocks
+        must not change afterwards."""
+        return tuple(_find_violations(self))
+
+    @cached_property
+    def rpo(self) -> list[BlockId]:
+        """`reverse_postorder`, walked on first use and kept; read-only."""
+        return reverse_postorder(self)
+
+    @cached_property
+    def preds(self) -> dict[BlockId, list[BlockId]]:
+        """`predecessors`, walked on first use and kept; read-only."""
+        return predecessors(self)
 
 
 @dataclass(frozen=True)
@@ -448,44 +465,68 @@ def render_value(v: ValueId) -> str:
     return f"v{v}"
 
 
-def _render_valuelist(vals) -> str:
-    return ", ".join(render_value(v) for v in vals)
+def render_blockref(bid: BlockId) -> str:
+    return f"b{bid}"
 
 
-def _render_blockarg(target: BlockId, args) -> str:
-    return f"b{target}({_render_valuelist(args)})"
-
-
-def render_instruction(instr: Instruction) -> str:
-    if instr.opcode == "iconst":
-        return f"{render_value(instr.result)} = iconst {instr.imm}"
-    return f"{render_value(instr.result)} = {instr.opcode} {_render_valuelist(instr.operands)}"
-
-
-def render_terminator(term: Terminator) -> str:
+def render_block(
+    bid: BlockId, block, value_name=render_value, block_name=render_blockref
+) -> list[str]:
+    """The lines of block `bid` in the text format: its header, then its
+    statements indented by two spaces. `block` is a `Block` or anything with
+    its `params`, `instructions` and `terminator`; `value_name` and
+    `block_name` write the ids."""
+    lines = [f"{block_name(bid)}({', '.join(map(value_name, block.params))}):"]
+    for instr in block.instructions:
+        if instr.opcode == "iconst":
+            lines.append(f"  {value_name(instr.result)} = iconst {instr.imm}")
+        else:
+            operands = ", ".join(map(value_name, instr.operands))
+            lines.append(f"  {value_name(instr.result)} = {instr.opcode} {operands}")
+    term = block.terminator
     if isinstance(term, Jump):
-        return f"jump {_render_blockarg(term.target, term.args)}"
-    if isinstance(term, BrIf):
-        return (
-            f"brif {render_value(term.cond)}, "
-            f"{_render_blockarg(term.then_target, term.then_args)}, "
-            f"{_render_blockarg(term.else_target, term.else_args)}"
+        lines.append(f"  jump {block_name(term.target)}({', '.join(map(value_name, term.args))})")
+    elif isinstance(term, BrIf):
+        lines.append(
+            f"  brif {value_name(term.cond)}, "
+            f"{block_name(term.then_target)}({', '.join(map(value_name, term.then_args))}), "
+            f"{block_name(term.else_target)}({', '.join(map(value_name, term.else_args))})"
         )
-    if term.args:
-        return f"ret {_render_valuelist(term.args)}"
-    return "ret"
+    elif term.args:
+        lines.append(f"  ret {', '.join(map(value_name, term.args))}")
+    else:
+        lines.append("  ret")
+    return lines
+
+
+def render_function(
+    name: str,
+    params,
+    blocks,
+    value_map: dict[ValueId, ValueId] | None = None,
+    block_map: dict[BlockId, BlockId] | None = None,
+) -> str:
+    """The text format of one function: `blocks` holds `(id, block)` pairs
+    in the order they are written, each by `render_block`. Given renaming
+    maps, every id is written as the one it maps to, so a renamed function
+    is rendered without being built."""
+    value_name, block_name = render_value, render_blockref
+    if value_map is not None:
+        value_name = {old: render_value(new) for old, new in value_map.items()}.__getitem__
+    if block_map is not None:
+        block_name = {old: render_blockref(new) for old, new in block_map.items()}.__getitem__
+    lines = [f"func @{name}({', '.join(map(value_name, params))}) {{"]
+    for bid, block in blocks:
+        lines += render_block(bid, block, value_name, block_name)
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def print_function(f: Function) -> str:
     """Canonical text: blocks in ascending id, two-space indented statements."""
-    lines = [f"func @{f.name}({_render_valuelist(f.params)}) {{"]
-    for block in sorted(f.blocks, key=lambda b: b.id):
-        lines.append(f"b{block.id}({_render_valuelist(block.params)}):")
-        for instr in block.instructions:
-            lines.append(f"  {render_instruction(instr)}")
-        lines.append(f"  {render_terminator(block.terminator)}")
-    lines.append("}")
-    return "\n".join(lines)
+    return render_function(
+        f.name, f.params, [(b.id, b) for b in sorted(f.blocks, key=lambda b: b.id)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +534,17 @@ def print_function(f: Function) -> str:
 
 
 def validate(f: Function) -> list[str]:
-    """Return every violated IR invariant; an empty list means valid."""
+    """Return every violated IR invariant; an empty list means valid.
+
+    A function is checked once: later calls return a copy of its kept
+    verdict, `f.violations`."""
+    return list(f.violations)
+
+
+def _find_violations(f: Function) -> list[str]:
+    """The check behind `validate`. It computes its own walks and keeps none
+    on `f` (it collects predecessors while it checks the terminators), so a
+    function that is validated but never analyzed holds no walks."""
     violations: list[str] = []
 
     ids = [b.id for b in f.blocks]
@@ -529,6 +580,7 @@ def validate(f: Function) -> list[str]:
         violations.append("negative value id")
 
     targets_ok = True
+    preds: dict[BlockId, list[BlockId]] = {i: [] for i in ids}
     for b in sorted(f.blocks, key=lambda blk: blk.id):
         if len(b.instructions) > 1:
             violations.append(f"b{b.id}: ANF: >1 instruction")
@@ -554,7 +606,10 @@ def validate(f: Function) -> list[str]:
             if not f.has_block(target):
                 violations.append(f"b{b.id}: jump to undefined block b{target}")
                 targets_ok = False
-            elif len(args) != len(f.block(target).params):
+                continue
+            if b.id not in preds[target]:
+                preds[target].append(b.id)
+            if len(args) != len(f.block(target).params):
                 violations.append(
                     f"b{b.id}: terminator arity: b{target} expects "
                     f"{len(f.block(target).params)} args, got {len(args)}"
@@ -573,7 +628,6 @@ def validate(f: Function) -> list[str]:
     # Reachability and predecessor structure.
     rpo = reverse_postorder(f)
     reachable = set(rpo)
-    preds = predecessors(f)
     if preds[f.entry]:
         violations.append(f"entry block b{f.entry} has predecessors")
     for bid in sorted(set(ids) - reachable):
@@ -715,31 +769,37 @@ def _step(instr: Instruction, env: dict, effects: list) -> int:
 # Structural renaming (used by canonicalization and by tests)
 
 
-def remap_instruction(instr: Instruction, value_map: dict[ValueId, ValueId]) -> Instruction:
-    return Instruction(
-        instr.opcode,
-        value_map[instr.result],
-        tuple(value_map[v] for v in instr.operands),
-        instr.imm,
-    )
-
-
-def remap_terminator(
-    term: Terminator,
+def remap_block(
+    block,
+    bid: BlockId,
     value_map: dict[ValueId, ValueId],
     block_map: dict[BlockId, BlockId],
-) -> Terminator:
+) -> Block:
+    """`block` renamed through the given maps as the block with id `bid`;
+    `block` is a `Block` or anything with its `params`, `instructions` and
+    `terminator`."""
+
+    def values(vals) -> tuple[ValueId, ...]:
+        return tuple(value_map[v] for v in vals)
+
+    term = block.terminator
     if isinstance(term, Jump):
-        return Jump(block_map[term.target], tuple(value_map[v] for v in term.args))
-    if isinstance(term, BrIf):
-        return BrIf(
+        term = Jump(block_map[term.target], values(term.args))
+    elif isinstance(term, BrIf):
+        term = BrIf(
             value_map[term.cond],
             block_map[term.then_target],
-            tuple(value_map[v] for v in term.then_args),
+            values(term.then_args),
             block_map[term.else_target],
-            tuple(value_map[v] for v in term.else_args),
+            values(term.else_args),
         )
-    return Ret(tuple(value_map[v] for v in term.args))
+    else:
+        term = Ret(values(term.args))
+    instructions = tuple(
+        Instruction(i.opcode, value_map[i.result], values(i.operands), i.imm)
+        for i in block.instructions
+    )
+    return Block(bid, values(block.params), instructions, term)
 
 
 def remap(
@@ -749,18 +809,9 @@ def remap(
     name: str | None = None,
 ) -> Function:
     """Rewrite every value/block id through the given total maps."""
-    blocks = tuple(
-        Block(
-            block_map[b.id],
-            tuple(value_map[v] for v in b.params),
-            tuple(remap_instruction(i, value_map) for i in b.instructions),
-            remap_terminator(b.terminator, value_map, block_map),
-        )
-        for b in f.blocks
-    )
     return Function(
         name if name is not None else f.name,
         tuple(value_map[v] for v in f.params),
         block_map[f.entry],
-        blocks,
+        tuple(remap_block(b, block_map[b.id], value_map, block_map) for b in f.blocks),
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .analysis import Analyses, InstrDef, InstrUse, LoopRegion
-from .esequence import ESequence, analyze, from_function, to_function
+from .esequence import ESequence, analyze, from_function
 from .ir import (
     Block,
     BlockId,
@@ -33,7 +33,6 @@ from .ir import (
     OPCODE_ARITY,
     Terminator,
     ValueId,
-    predecessors,
     terminator_targets,
     wrap64,
 )
@@ -220,20 +219,18 @@ class _Editor:
     through `params`, `entry`, `blocks` and `block` like a `Function`.
 
     The copy keeps every block's predecessors, sorted by block id, as
-    `predecessors` lists them. It starts from `preds`, `f`'s own map (rules
-    pass `Analyses.preds`), and stays right as long as terminators change
-    only through `set_terminator` and blocks come and go only through
-    `add_block` and `try_splice`."""
+    `predecessors` lists them. It starts from `f.preds`, the map `f` keeps
+    (for an analyzed sequence's function, the one its analyses read), and
+    stays right as long as terminators change only through `set_terminator`
+    and blocks come and go only through `add_block` and `try_splice`."""
 
-    def __init__(self, f: Function, preds: dict[BlockId, list[BlockId]] | None = None):
+    def __init__(self, f: Function):
         self.name = f.name
         self.entry = f.entry
         self.blocks: dict[BlockId, _WorkBlock] = {
             b.id: _WorkBlock(b.params, b.instruction, b.terminator) for b in f.blocks
         }
-        if preds is None:
-            preds = predecessors(f)
-        self._preds = {bid: list(ps) for bid, ps in preds.items()}
+        self._preds = {bid: list(ps) for bid, ps in f.preds.items()}
         self._next_block = max(self.blocks) + 1
         defined = [v for b in f.blocks for v in b.params]
         defined += [b.instruction.result for b in f.blocks if b.instruction]
@@ -357,7 +354,7 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
 
 def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
     f = analyses.function
-    ed = _Editor(f, analyses.preds)
+    ed = _Editor(f)
     header = loop.header
     hoisted = [f.block(bid).instruction for bid in split.invariant_blocks]
 
@@ -446,7 +443,7 @@ def _fold_sites(f: Function) -> list[tuple[str, dict[str, int]]]:
 
 
 def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
-    ed = _Editor(analyses.function, analyses.preds)
+    ed = _Editor(analyses.function)
     root_bid = analyses.def_use[m["root"]][0].block
     old = ed.blocks[root_bid].instruction
     folded = fold_constants(opcode, m["a"], m["b"])
@@ -471,7 +468,7 @@ def apply_broken(s: ESequence, analyses: Analyses | None = None) -> list[ESequen
     for b in s.blocks:
         instr = b.instruction
         if instr and instr.opcode == "iconst":
-            ed = _Editor(to_function(s))
+            ed = _Editor(s.function)
             ed.blocks[b.id].instruction = Instruction(
                 "iconst", instr.result, (), wrap64(instr.imm + 1)
             )

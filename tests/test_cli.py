@@ -73,6 +73,24 @@ def test_opt_output_reparses_and_revalidates(capsys):
         assert validate(f) == []
 
 
+def test_opt_checks_each_function_once(monkeypatch, capsys):
+    # The parser checks the function it returns; saturation must not check
+    # that seed again, only each new variant.
+    import epathopt.ir as ir
+
+    checked = []
+    check = ir._find_violations
+
+    def counted(f):
+        checked.append(f.name)
+        return check(f)
+
+    monkeypatch.setattr(ir, "_find_violations", counted)
+    code, out, _ = run(capsys, ["opt", str(CORPUS_DIR / "two_loops.ir"), "--dump-variants"])
+    assert code == 0 and out.count("; variant ") == 4
+    assert checked == ["twoloops", "s", "s", "s"]
+
+
 def test_opt_parse_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.ir"
     bad.write_text("func @f() {\nb0():\n  retx\n}\n")

@@ -214,9 +214,11 @@ def _count_calls(monkeypatch, owner, name, counter):
 
 def test_each_distinct_sequence_analyzed_once(monkeypatch):
     import epathopt.analysis as analysis
+    import epathopt.ir as ir
 
     calls = {}
     _count_calls(monkeypatch, analysis, "dominators", calls)
+    _count_calls(monkeypatch, ir, "predecessors", calls)
     compute = Analyses.__dict__["compute"].__func__
 
     def counted_compute(cls, f):
@@ -229,7 +231,9 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
     saturate(p, RULES)
     sort_by_cost(p.variants())
     assert len(p) > 2
-    assert calls == {"dominators": len(p), "compute": len(p)}
+    assert calls == {"dominators": len(p), "predecessors": len(p), "compute": len(p)}
+    for s in p.variants():
+        assert analyze(s).function is s.function is to_function(s)
 
 
 def _emitting(function):

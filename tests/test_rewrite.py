@@ -370,7 +370,7 @@ def test_editor_predecessors_stay_current_through_splices_and_hoists():
         s = from_function(f)
         analyses = analyze(s)
         # Rules start from the canonical function's cached map.
-        ed = _Editor(analyses.function, analyses.preds) if i % 2 else _Editor(f)
+        ed = _Editor(analyses.function) if i % 2 else _Editor(f)
         _assert_preds_current(ed)
         for bid in rng.sample(sorted(ed.blocks), k=len(ed.blocks)):
             try:
