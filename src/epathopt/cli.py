@@ -143,7 +143,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
             return path
 
         results = [
-            (seq.digest, interpret(to_function(seq, f.name), args, ns.fuel))
+            (seq.digest, interpret(seq.function, args, ns.fuel))
             for seq in path.variants()
         ]
         finished = [(d, r) for d, r in results if not isinstance(r, FuelExhausted)]

@@ -73,18 +73,17 @@ class ESequence:
         return Analyses.compute(self.function)
 
 
-def from_function(f, *, checked: bool = True) -> ESequence:
+def from_function(f: Function, *, checked: bool = True) -> ESequence:
     """Canonicalize a valid, reducible function into an ESequence.
 
     Blocks are reordered to reverse postorder and renumbered 0..n-1; values
     are renumbered in definition order (entry params first, then each
     block's params and instruction result).
 
-    `f` is a `Function` or a rule's working copy, read through `params`,
-    `entry`, `blocks`, `block(id)` and, for error reports, `finish()`. It
-    must not change afterwards: the sequence's function is built from it on
-    first use. A checked `Function` keeps its verdict, so one the parser has
-    checked is not checked again.
+    The sequence's function is built from `f`'s blocks on first use; rules
+    pass the `Function` their working copy finishes, which shares the
+    source's unchanged blocks. A checked `Function` keeps its verdict, so one
+    the parser has checked is not checked again.
 
     Raises ValueError listing the violations of an invalid function, and
     IrreducibleError naming an edge in `f`'s own block ids. Rules pass
@@ -94,13 +93,13 @@ def from_function(f, *, checked: bool = True) -> ESequence:
     sequence and never builds its function.
     """
     if checked:
-        _require_valid(_as_function(f))
+        _require_valid(f)
     s = _canonicalize(f)
     if checked:
         try:
             analyze(s)
         except IrreducibleError:
-            find_back_edges(_as_function(f))  # raises again, naming f's block ids
+            find_back_edges(f)  # raises again, naming f's block ids
             raise
     return s
 
@@ -112,18 +111,15 @@ def verify(s: ESequence) -> None:
     analyze(s)
 
 
-def _as_function(f) -> Function:
-    return f if isinstance(f, Function) else f.finish()
-
-
 def _require_valid(f: Function) -> None:
     violations = validate(f)
     if violations:
         raise ValueError(f"invalid function @{f.name}: " + "; ".join(violations))
 
 
-def _canonicalize(f) -> ESequence:
+def _canonicalize(f: Function) -> ESequence:
     """Rename `f` into canonical form and print it, without validating it.
+    `f` is a parsed `Function` or one a rule's working copy finished.
 
     One pass over the reverse postorder builds the block and value maps,
     then `render_function` writes the text straight from `f` through them:
@@ -144,11 +140,10 @@ def _canonicalize(f) -> ESequence:
             for instr in block.instructions:
                 value_map[instr.result] = len(value_map)
         params = tuple(value_map[v] for v in f.params)
-        text = render_function("s", f.params, zip(rpo, source), value_map, block_map)
+        text = render_function("s", f.params, source, value_map, block_map)
     except KeyError:
         text = None
     if text is None or len(rpo) != len(f.blocks):
-        f = _as_function(f)
         _require_valid(f)
         raise ValueError(f"invalid function @{f.name}: cannot canonicalize")
     return ESequence(
@@ -157,13 +152,11 @@ def _canonicalize(f) -> ESequence:
 
 
 def _build_blocks(
-    source: list,
+    source: list[Block],
     block_map: dict[BlockId, BlockId],
     value_map: dict[ValueId, ValueId],
 ) -> tuple[Block, ...]:
-    return tuple(
-        remap_block(block, new, value_map, block_map) for new, block in enumerate(source)
-    )
+    return tuple(remap_block(block, value_map, block_map) for block in source)
 
 
 def to_function(s: ESequence, name: str = "s") -> Function:
@@ -196,7 +189,7 @@ def to_dot(s: ESequence, name: str = "seq") -> str:
     """Graphviz rendering: one node per block, branch edges labeled."""
     lines = [f'digraph "{name}" {{', "  node [shape=box, fontname=monospace];"]
     for b in s.blocks:
-        label = "\\l".join(line.lstrip() for line in render_block(b.id, b)) + "\\l"
+        label = "\\l".join(line.lstrip() for line in render_block(b)) + "\\l"
         lines.append(f'  b{b.id} [label="{label}"];')
     for b in s.blocks:
         term = b.terminator

@@ -469,14 +469,11 @@ def render_blockref(bid: BlockId) -> str:
     return f"b{bid}"
 
 
-def render_block(
-    bid: BlockId, block, value_name=render_value, block_name=render_blockref
-) -> list[str]:
-    """The lines of block `bid` in the text format: its header, then its
-    statements indented by two spaces. `block` is a `Block` or anything with
-    its `params`, `instructions` and `terminator`; `value_name` and
-    `block_name` write the ids."""
-    lines = [f"{block_name(bid)}({', '.join(map(value_name, block.params))}):"]
+def render_block(block: Block, value_name=render_value, block_name=render_blockref) -> list[str]:
+    """The lines of `block` in the text format: its header, then its
+    statements indented by two spaces; `value_name` and `block_name` write
+    the ids."""
+    lines = [f"{block_name(block.id)}({', '.join(map(value_name, block.params))}):"]
     for instr in block.instructions:
         if instr.opcode == "iconst":
             lines.append(f"  {value_name(instr.result)} = iconst {instr.imm}")
@@ -506,8 +503,8 @@ def render_function(
     value_map: dict[ValueId, ValueId] | None = None,
     block_map: dict[BlockId, BlockId] | None = None,
 ) -> str:
-    """The text format of one function: `blocks` holds `(id, block)` pairs
-    in the order they are written, each by `render_block`. Given renaming
+    """The text format of one function: `blocks` holds its `Block`s in the
+    order they are written, each by `render_block`. Given renaming
     maps, every id is written as the one it maps to, so a renamed function
     is rendered without being built."""
     value_name, block_name = render_value, render_blockref
@@ -516,17 +513,15 @@ def render_function(
     if block_map is not None:
         block_name = {old: render_blockref(new) for old, new in block_map.items()}.__getitem__
     lines = [f"func @{name}({', '.join(map(value_name, params))}) {{"]
-    for bid, block in blocks:
-        lines += render_block(bid, block, value_name, block_name)
+    for block in blocks:
+        lines += render_block(block, value_name, block_name)
     lines.append("}")
     return "\n".join(lines)
 
 
 def print_function(f: Function) -> str:
     """Canonical text: blocks in ascending id, two-space indented statements."""
-    return render_function(
-        f.name, f.params, [(b.id, b) for b in sorted(f.blocks, key=lambda b: b.id)]
-    )
+    return render_function(f.name, f.params, sorted(f.blocks, key=lambda b: b.id))
 
 
 # ---------------------------------------------------------------------------
@@ -770,14 +765,10 @@ def _step(instr: Instruction, env: dict, effects: list) -> int:
 
 
 def remap_block(
-    block,
-    bid: BlockId,
-    value_map: dict[ValueId, ValueId],
-    block_map: dict[BlockId, BlockId],
+    block: Block, value_map: dict[ValueId, ValueId], block_map: dict[BlockId, BlockId]
 ) -> Block:
-    """`block` renamed through the given maps as the block with id `bid`;
-    `block` is a `Block` or anything with its `params`, `instructions` and
-    `terminator`."""
+    """`block` with every value and block id, its own included, renamed
+    through the given maps."""
 
     def values(vals) -> tuple[ValueId, ...]:
         return tuple(value_map[v] for v in vals)
@@ -799,7 +790,7 @@ def remap_block(
         Instruction(i.opcode, value_map[i.result], values(i.operands), i.imm)
         for i in block.instructions
     )
-    return Block(bid, values(block.params), instructions, term)
+    return Block(block_map[block.id], values(block.params), instructions, term)
 
 
 def remap(
@@ -813,5 +804,5 @@ def remap(
         name if name is not None else f.name,
         tuple(value_map[v] for v in f.params),
         block_map[f.entry],
-        tuple(remap_block(b, block_map[b.id], value_map, block_map) for b in f.blocks),
+        tuple(remap_block(b, value_map, block_map) for b in f.blocks),
     )

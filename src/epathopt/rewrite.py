@@ -1,9 +1,10 @@
 """Rewrite rules over canonical sequences.
 
 A rule is a pure function from one sequence to zero or more new, semantically
-equivalent sequences; it never mutates its input. Rules edit a scratch copy
-and hand it straight to `from_function`, which renders and digests it without
-validating it or building its blocks; `saturate` verifies each new digest.
+equivalent sequences; it never mutates its input. Rules edit a copy-on-write
+overlay of the sequence's function and hand the `Function` it finishes to
+`from_function`, which renders and digests it without validating it or
+building its blocks; `saturate` verifies each new digest.
 Shipped rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
@@ -16,7 +17,6 @@ Shipped rules:
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -201,81 +201,73 @@ def _invariant_operand(site, loop: LoopRegion, invariant: set) -> bool:
 # Function surgery shared by the rules
 
 
-@dataclass
-class _WorkBlock:
-    params: tuple[ValueId, ...]
-    instruction: Instruction | None
-    terminator: Terminator
-
-    @property
-    def instructions(self) -> tuple[Instruction, ...]:
-        return (self.instruction,) if self.instruction else ()
-
-
 class _Editor:
-    """Mutable scratch copy of a function for building one rewrite result.
+    """Copy-on-write overlay of a function for building one rewrite result.
 
-    Rules hand the finished copy straight to `from_function`, which reads it
-    through `params`, `entry`, `blocks` and `block` like a `Function`.
+    `blocks` starts as the source's own map of immutable `Block`s; every
+    write replaces a block through `set_instruction`, `set_terminator`,
+    `add_block` or `try_splice`, so the source never changes. `finish()`
+    returns the result as a `Function`.
 
-    The copy keeps every block's predecessors, sorted by block id, as
+    The overlay keeps every block's predecessors, sorted by block id, as
     `predecessors` lists them. It starts from `f.preds`, the map `f` keeps
-    (for an analyzed sequence's function, the one its analyses read), and
-    stays right as long as terminators change only through `set_terminator`
-    and blocks come and go only through `add_block` and `try_splice`."""
+    (for an analyzed sequence's function, the one its analyses read); a
+    changed list is replaced, never edited in place."""
 
     def __init__(self, f: Function):
-        self.name = f.name
+        self._source = f
         self.entry = f.entry
-        self.blocks: dict[BlockId, _WorkBlock] = {
-            b.id: _WorkBlock(b.params, b.instruction, b.terminator) for b in f.blocks
-        }
-        self._preds = {bid: list(ps) for bid, ps in f.preds.items()}
+        self.blocks: dict[BlockId, Block] = dict(f._by_id)
+        self._preds: dict[BlockId, list[BlockId]] = dict(f.preds)
         self._next_block = max(self.blocks) + 1
-        defined = [v for b in f.blocks for v in b.params]
-        defined += [b.instruction.result for b in f.blocks if b.instruction]
-        self._next_value = max(defined, default=-1) + 1
-
-    @property
-    def params(self) -> tuple[ValueId, ...]:
-        return self.blocks[self.entry].params
-
-    def block(self, bid: BlockId) -> _WorkBlock:
-        return self.blocks[bid]
+        self._next_value: ValueId | None = None
 
     def fresh_block(self) -> BlockId:
         self._next_block += 1
         return self._next_block - 1
 
     def fresh_value(self) -> ValueId:
+        # Numbered past the source's values, not the edited blocks': LICM
+        # detaches the instructions it hoists before it asks for fresh ids.
+        if self._next_value is None:
+            f = self._source
+            defined = [v for b in f.blocks for v in b.params]
+            defined += [b.instruction.result for b in f.blocks if b.instruction]
+            self._next_value = max(defined, default=-1) + 1
         self._next_value += 1
         return self._next_value - 1
 
     def preds(self, bid: BlockId) -> list[BlockId]:
-        return list(self._preds[bid])
+        """The predecessors of `bid`; read-only."""
+        return self._preds[bid]
+
+    def set_instruction(self, bid: BlockId, instr: Instruction | None) -> None:
+        b = self.blocks[bid]
+        self.blocks[bid] = Block(bid, b.params, (instr,) if instr else (), b.terminator)
 
     def set_terminator(self, bid: BlockId, term: Terminator) -> None:
-        old, new = _targets(self.blocks[bid].terminator), _targets(term)
+        b = self.blocks[bid]
+        old, new = _targets(b.terminator), _targets(term)
         for t in old - new:
-            self._preds[t].remove(bid)
+            self._preds[t] = [p for p in self._preds[t] if p != bid]
         for t in new - old:
-            insort(self._preds.setdefault(t, []), bid)
-        self.blocks[bid].terminator = term
+            self._preds[t] = sorted([*self._preds.get(t, ()), bid])
+        self.blocks[bid] = Block(bid, b.params, b.instructions, term)
 
-    def add_block(self, bid: BlockId, wb: _WorkBlock) -> None:
-        self.blocks[bid] = wb
-        self._preds.setdefault(bid, [])
-        for t in _targets(wb.terminator):
-            insort(self._preds.setdefault(t, []), bid)
+    def add_block(self, block: Block) -> None:
+        self.blocks[block.id] = block
+        self._preds.setdefault(block.id, [])
+        for t in _targets(block.terminator):
+            self._preds[t] = sorted([*self._preds.get(t, ()), block.id])
 
     def try_splice(self, bid: BlockId) -> bool:
         """Remove a parameterless jump-only block, rewiring its predecessors
         to its target. Refuses shapes the IR cannot express (a brif whose
         branches would collapse onto one target with differing args)."""
-        wb = self.blocks[bid]
-        if wb.params or not isinstance(wb.terminator, Jump):
+        b = self.blocks[bid]
+        if b.params or not isinstance(b.terminator, Jump):
             return False
-        target, args = wb.terminator.target, wb.terminator.args
+        target, args = b.terminator.target, b.terminator.args
         if target == bid:
             return False
 
@@ -284,8 +276,6 @@ class _Editor:
 
         updates: dict[BlockId, Terminator] = {}
         for p in self.preds(bid):
-            if p == bid:
-                continue
             new_term = _redirect(self.blocks[p].terminator, bid, target, lambda _: args)
             if (
                 isinstance(new_term, BrIf)
@@ -301,15 +291,12 @@ class _Editor:
             self.entry = target
         del self.blocks[bid]
         del self._preds[bid]
-        self._preds[target].remove(bid)
+        self._preds[target] = [p for p in self._preds[target] if p != bid]
         return True
 
     def finish(self) -> Function:
-        blocks = tuple(
-            Block(bid, wb.params, wb.instructions, wb.terminator)
-            for bid, wb in sorted(self.blocks.items())
-        )
-        return Function(self.name, self.params, self.entry, blocks)
+        entry = self.blocks[self.entry]
+        return Function(self._source.name, entry.params, self.entry, tuple(self.blocks.values()))
 
 
 def _targets(term: Terminator) -> set[BlockId]:
@@ -348,7 +335,7 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
     for loop in analyses.loops:
         split = classify_invariance(loop, s, analyses)
         if split.invariant_blocks:
-            out.append(from_function(_hoist(analyses, loop, split), checked=False))
+            out.append(from_function(_hoist(analyses, loop, split).finish(), checked=False))
     return out
 
 
@@ -361,7 +348,7 @@ def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
     # Detach invariant instructions. The header must keep its place; blocks
     # that cannot be spliced out stay behind as empty pass-throughs.
     for bid in split.invariant_blocks:
-        ed.blocks[bid].instruction = None
+        ed.set_instruction(bid, None)
         if bid != header:
             ed.try_splice(bid)
 
@@ -382,14 +369,14 @@ def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
         # results keep dominating their uses inside the loop.
         merge = ed.fresh_block()
         fresh = tuple(ed.fresh_value() for _ in ed.blocks[header].params)
-        ed.add_block(merge, _WorkBlock(fresh, None, Jump(chain[0], ())))
+        ed.add_block(Block(merge, fresh, (), Jump(chain[0], ())))
         for p in entry_preds:
             ed.set_terminator(p, _redirect(ed.blocks[p].terminator, header, merge, lambda a: a))
         final_args = fresh
 
     for i, (bid, instr) in enumerate(zip(chain, hoisted)):
         term = Jump(chain[i + 1], ()) if i + 1 < len(chain) else Jump(header, final_args)
-        ed.add_block(bid, _WorkBlock((), instr, term))
+        ed.add_block(Block(bid, (), (instr,), term))
 
     return ed
 
@@ -447,7 +434,7 @@ def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
     root_bid = analyses.def_use[m["root"]][0].block
     old = ed.blocks[root_bid].instruction
     folded = fold_constants(opcode, m["a"], m["b"])
-    ed.blocks[root_bid].instruction = Instruction("iconst", old.result, (), folded)
+    ed.set_instruction(root_bid, Instruction("iconst", old.result, (), folded))
 
     # A feeder read only by the folded instruction is now dead. Splicing one
     # feeder's block out leaves the other feeder's uses as they were.
@@ -455,7 +442,7 @@ def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
         site, uses = analyses.def_use[feeder]
         if all(isinstance(u, InstrUse) and u.block == root_bid for u in uses):
             ed.try_splice(site.block)
-    return from_function(ed, checked=False)
+    return from_function(ed.finish(), checked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +456,8 @@ def apply_broken(s: ESequence, analyses: Analyses | None = None) -> list[ESequen
         instr = b.instruction
         if instr and instr.opcode == "iconst":
             ed = _Editor(s.function)
-            ed.blocks[b.id].instruction = Instruction(
-                "iconst", instr.result, (), wrap64(instr.imm + 1)
-            )
-            return [from_function(ed, checked=False)]
+            ed.set_instruction(b.id, Instruction("iconst", instr.result, (), wrap64(instr.imm + 1)))
+            return [from_function(ed.finish(), checked=False)]
     return []
 
 

@@ -346,13 +346,30 @@ def test_splicing_entry_that_passes_arguments_raises():
 def test_working_copy_canonicalizes_like_its_finished_function():
     f = load_corpus()["sec2_loop.ir"]
     ed = _Editor(f)
-    assert from_function(ed, checked=False) == from_function(ed.finish())
+    assert from_function(ed.finish(), checked=False) == from_function(ed.finish())
 
     # An invalid working copy is reported with the violations of its
     # finished function.
-    ed.blocks[f.entry].terminator = Ret((99,))
+    ed.set_terminator(f.entry, Ret((99,)))
     with pytest.raises(ValueError, match="use of undefined value v99"):
-        from_function(ed, checked=False)
+        from_function(ed.finish(), checked=False)
+
+
+def test_licm_merge_block_values_are_fresh_past_hoisted_results():
+    # The hoisted `iconst` holds the function's largest value id and is
+    # detached before the merge block of the two entry edges asks for fresh
+    # parameters, which must still not reuse its id.
+    f = parse_function(
+        "func @f(v0) {\nb0(v0):\n  brif v0, b1(), b2()\nb1():\n  jump b3(v0)\n"
+        "b2():\n  jump b3(v0)\nb3(v1):\n  brif v1, b5(), b4()\nb4():\n  ret v1\n"
+        "b5():\n  v2 = iconst 7\n  jump b3(v2)\n}"
+    )
+    s = from_function(f)
+    (hoisted,) = [b.instruction for b in s.blocks if b.instruction]
+    assert hoisted.result > max(v for b in s.blocks for v in b.params)
+    variants = closure(f)
+    assert len(variants) > 1
+    assert_all_equivalent(variants, "f", 1)
 
 
 def _assert_preds_current(ed):
@@ -362,6 +379,11 @@ def _assert_preds_current(ed):
         assert ed.preds(b.id) == expected[b.id], (b.id, print_function(finished))
 
 
+def _snapshot(f):
+    """`f`'s predecessor lists, deep-copied, and its blocks as looked up by id."""
+    return {bid: list(ps) for bid, ps in f.preds.items()}, [f.block(b.id) for b in f.blocks]
+
+
 def test_editor_predecessors_stay_current_through_splices_and_hoists():
     rng = random.Random(0x9E5)
     spliced = hoisted = 0
@@ -369,6 +391,10 @@ def test_editor_predecessors_stay_current_through_splices_and_hoists():
         f = random_function(rng, max_blocks=12, name=f"g{i}")
         s = from_function(f)
         analyses = analyze(s)
+        # The working copy shares the source's blocks and predecessor lists;
+        # no edit may change them.
+        sources = (f, analyses.function)
+        before = [_snapshot(g) for g in sources]
         # Rules start from the canonical function's cached map.
         ed = _Editor(analyses.function) if i % 2 else _Editor(f)
         _assert_preds_current(ed)
@@ -378,11 +404,13 @@ def test_editor_predecessors_stay_current_through_splices_and_hoists():
             except ValueError:
                 continue
             _assert_preds_current(ed)
+            assert [_snapshot(g) for g in sources] == before
 
         for loop in analyses.loops:
             split = classify_invariance(loop, s, analyses)
             if split.invariant_blocks:
                 _assert_preds_current(_hoist(analyses, loop, split))
+                assert [_snapshot(g) for g in sources] == before
                 hoisted += 1
     assert spliced >= 300 and hoisted >= 30, (spliced, hoisted)
 
