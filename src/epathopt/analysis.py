@@ -1,6 +1,7 @@
-"""Classical CFG analyses: dominators, back edges, natural loops, and
-def-use chains, built on the CFG walks a `Function` keeps (`rpo`, `preds`).
-This module re-exports `reverse_postorder`.
+"""Classical CFG analyses: dominators (by `must_dataflow`, the solver
+`validate` uses), back edges, natural loops, and def-use chains, built on
+the CFG walks a `Function` keeps (`rpo`, `preds`). This module re-exports
+`reverse_postorder`.
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -14,6 +15,7 @@ from .ir import (
     BlockId,
     Function,
     ValueId,
+    must_dataflow,
     reverse_postorder,
     successors,
     terminator_values,
@@ -73,34 +75,17 @@ UseSite = InstrUse | TermUse
 
 
 def dominators(f: Function) -> dict[BlockId, BlockId]:
-    """Immediate dominators via fixed-point iteration over reverse postorder
-    (Cooper, Harvey and Kennedy), read from the walks `f` keeps.
+    """Immediate dominators: `must_dataflow` with bit i for `f.rpo[i]` gives
+    each block's strict dominators, a chain in which the immediate dominator
+    comes last in reverse postorder, at the highest set bit.
 
     The entry block maps to itself.
     """
-    rpo, preds = f.rpo, f.preds
-    index = {bid: i for i, bid in enumerate(rpo)}
-    idom: dict[BlockId, BlockId] = {f.entry: f.entry}
-
-    def intersect(u: BlockId, v: BlockId) -> BlockId:
-        while u != v:
-            while index[u] > index[v]:
-                u = idom[u]
-            while index[v] > index[u]:
-                v = idom[v]
-        return u
-
-    changed = True
-    while changed:
-        changed = False
-        for bid in rpo[1:]:
-            candidates = [p for p in preds[bid] if p in idom]
-            new = candidates[0]
-            for p in candidates[1:]:
-                new = intersect(new, p)
-            if idom.get(bid) != new:
-                idom[bid] = new
-                changed = True
+    rpo = f.rpo
+    strict = must_dataflow(f, {bid: 1 << i for i, bid in enumerate(rpo)})
+    idom = {f.entry: f.entry}
+    for bid in rpo[1:]:
+        idom[bid] = rpo[strict[bid].bit_length() - 1]
     return idom
 
 
@@ -232,8 +217,9 @@ class Analyses:
 
     @classmethod
     def compute(cls, f: Function) -> "Analyses":
-        """One pass: dominators over the walks `f` keeps, back edges and
-        loops read off them. Raises IrreducibleError."""
+        """One pass: dominators over `f.rpo` (called by this module's global
+        name, so a wrapper put there counts them), back edges and loops read
+        off them. Raises IrreducibleError."""
         idom = dominators(f)
         back = _back_edges(f, idom)
         loops = [_natural_loop(f, h, back) for h in sorted({t for _, t in back})]

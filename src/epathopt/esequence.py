@@ -30,7 +30,6 @@ from .ir import (
     remap_block,
     render_block,
     render_function,
-    reverse_postorder,
     validate,
 )
 
@@ -121,16 +120,16 @@ def _canonicalize(f: Function) -> ESequence:
     """Rename `f` into canonical form and print it, without validating it.
     `f` is a parsed `Function` or one a rule's working copy finished.
 
-    One pass over the reverse postorder builds the block and value maps,
-    then `render_function` writes the text straight from `f` through them:
-    it is exactly `print_function` of the renamed function named `s`, and
-    the digest is its blake2b. No block is built here.
+    One pass over `f.rpo`, the walk validation shares, builds the block and
+    value maps, then `render_function` writes the text straight from `f`
+    through them: it is exactly `print_function` of the renamed function
+    named `s`, and the digest is its blake2b. No block is built here.
 
     Validity and reducibility do not depend on names, so checking the result
     checks `f`. Renaming fails only on an invalid `f` (an undefined target or
     value, an unreached or duplicate block); `validate` then names why."""
     try:
-        rpo = reverse_postorder(f)
+        rpo = f.rpo
         block_map = {old: new for new, old in enumerate(rpo)}
         value_map: dict[ValueId, ValueId] = {}
         source = [f.block(old) for old in rpo]

@@ -128,7 +128,8 @@ class Function:
 
     @cached_property
     def rpo(self) -> list[BlockId]:
-        """`reverse_postorder`, walked on first use and kept; read-only."""
+        """`reverse_postorder`, walked on first use and kept; read-only: the
+        one DFS that validation, canonicalization and analysis share."""
         return reverse_postorder(self)
 
     @cached_property
@@ -187,6 +188,28 @@ def predecessors(f: Function) -> dict[BlockId, list[BlockId]]:
             if b.id not in preds[target]:
                 preds[target].append(b.id)
     return preds
+
+
+def must_dataflow(f: Function, gen: dict[BlockId, int]) -> dict[BlockId, int]:
+    """Kildall's all-paths dataflow over int bitmasks: for each reachable
+    block, the greatest fixpoint of `in(entry) = 0`, `in(b)` = AND of
+    `in(p) | gen[p]` over b's reachable predecessors p. Each round walks
+    `f.rpo`, each block pushing to its successors (no predecessor map); a
+    block not pushed to yet stands for the full set, and every block but the
+    entry is pushed to by an earlier one before it is read."""
+    into = {f.entry: 0}
+    changed = True
+    while changed:
+        changed = False
+        for bid in f.rpo:
+            out = into[bid] | gen[bid]
+            for succ in successors(f, bid):
+                old = into.get(succ)
+                new = out if old is None else old & out
+                if new != old:
+                    into[succ] = new
+                    changed = True
+    return into
 
 
 def reverse_postorder(f: Function) -> list[BlockId]:
@@ -281,7 +304,7 @@ class _LineScanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start or self.text[start : self.pos] == "-":
             raise self.error("expected integer")
@@ -294,7 +317,7 @@ class _LineScanner:
             raise self.error(f"expected {what}")
         self.pos += len(prefix)
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.pos = start
@@ -537,9 +560,10 @@ def validate(f: Function) -> list[str]:
 
 
 def _find_violations(f: Function) -> list[str]:
-    """The check behind `validate`. It computes its own walks and keeps none
-    on `f` (it collects predecessors while it checks the terminators), so a
-    function that is validated but never analyzed holds no walks."""
+    """The check behind `validate`: reachability from `f.rpo`, available
+    values by `must_dataflow`. It builds no predecessor map (edges into the
+    entry are noted in its scan of the terminators), so a function that is
+    validated but never analyzed keeps only its reverse postorder."""
     violations: list[str] = []
 
     ids = [b.id for b in f.blocks]
@@ -575,7 +599,7 @@ def _find_violations(f: Function) -> list[str]:
         violations.append("negative value id")
 
     targets_ok = True
-    preds: dict[BlockId, list[BlockId]] = {i: [] for i in ids}
+    entry_has_preds = False
     for b in sorted(f.blocks, key=lambda blk: blk.id):
         if len(b.instructions) > 1:
             violations.append(f"b{b.id}: ANF: >1 instruction")
@@ -602,8 +626,7 @@ def _find_violations(f: Function) -> list[str]:
                 violations.append(f"b{b.id}: jump to undefined block b{target}")
                 targets_ok = False
                 continue
-            if b.id not in preds[target]:
-                preds[target].append(b.id)
+            entry_has_preds |= target == f.entry
             if len(args) != len(f.block(target).params):
                 violations.append(
                     f"b{b.id}: terminator arity: b{target} expects "
@@ -621,20 +644,18 @@ def _find_violations(f: Function) -> list[str]:
         return violations
 
     # Reachability and predecessor structure.
-    rpo = reverse_postorder(f)
-    reachable = set(rpo)
-    if preds[f.entry]:
+    reachable = set(f.rpo)
+    if entry_has_preds:
         violations.append(f"entry block b{f.entry} has predecessors")
     for bid in sorted(set(ids) - reachable):
         violations.append(f"b{bid}: unreachable")
 
     # Forward availability: a use is legal iff its value is defined on every
     # path from entry (equivalent to dominance under single definitions).
-    # Sets of values are int bitmasks; bit i stands for the i-th value of
-    # `defs`, in definition order.
+    # Bit i stands for the i-th value of `defs`, in definition order.
     bit = {v: 1 << i for i, v in enumerate(defs)}
     block_defs: dict[BlockId, int] = {}
-    for bid in rpo:
+    for bid in f.rpo:
         b = f.block(bid)
         mask = 0
         for v in b.params:
@@ -642,20 +663,7 @@ def _find_violations(f: Function) -> list[str]:
         for instr in b.instructions:
             mask |= bit[instr.result]
         block_defs[bid] = mask
-    everything = (1 << len(bit)) - 1
-    avail_in = dict.fromkeys(rpo, everything)
-    avail_in[f.entry] = 0
-    changed = True
-    while changed:
-        changed = False
-        for bid in rpo[1:]:
-            new = everything
-            for p in preds[bid]:
-                if p in avail_in:  # unreachable predecessors do not count
-                    new &= avail_in[p] | block_defs[p]
-            if new != avail_in[bid]:
-                avail_in[bid] = new
-                changed = True
+    avail_in = must_dataflow(f, block_defs)
 
     for bid in sorted(reachable):
         b = f.block(bid)
@@ -748,16 +756,21 @@ def _step(instr: Instruction, env: dict, effects: list) -> int:
         effects.append(("eff", value))
         return value
     x, y = instr.operands
-    a, b = env[x], env[y]
-    if op == "iadd":
+    return fold_constants(op, env[x], env[y])
+
+
+def fold_constants(opcode: str, a: int, b: int) -> int:
+    """Wrapping two's-complement fold; icmp_slt yields 1/0. The interpreter
+    and the constfold rule both compute binary opcodes through this."""
+    if opcode == "iadd":
         return wrap64(a + b)
-    if op == "isub":
+    if opcode == "isub":
         return wrap64(a - b)
-    if op == "imul":
+    if opcode == "imul":
         return wrap64(a * b)
-    if op == "icmp_slt":
+    if opcode == "icmp_slt":
         return 1 if a < b else 0
-    raise ValueError(f"unknown opcode {op!r}")
+    raise ValueError(f"not foldable: {opcode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ building its blocks; `saturate` verifies each new digest.
 Shipped rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
-* ``constfold``: fold binary operations over two constants (exercises
-  expression-level matching; kept deliberately small, no general dead-code
+* ``constfold``: fold binary operations over two constants, found in one
+  scan of the function (`match_expression` is the reference the scan is
+  tested against; kept deliberately small, no general dead-code
   elimination).
 * ``broken``: deliberately unsound negative control for differential
   checking; never use outside tests or `check` runs.
@@ -33,6 +34,7 @@ from .ir import (
     OPCODE_ARITY,
     Terminator,
     ValueId,
+    fold_constants,
     terminator_targets,
     wrap64,
 )
@@ -386,19 +388,6 @@ def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
 
 
 _FOLDABLE = ("iadd", "isub", "imul", "icmp_slt")
-
-
-def fold_constants(opcode: str, a: int, b: int) -> int:
-    """Wrapping two's-complement fold; icmp_slt yields 1/0."""
-    if opcode == "iadd":
-        return wrap64(a + b)
-    if opcode == "isub":
-        return wrap64(a - b)
-    if opcode == "imul":
-        return wrap64(a * b)
-    if opcode == "icmp_slt":
-        return 1 if a < b else 0
-    raise ValueError(f"not foldable: {opcode!r}")
 
 
 def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESequence]:

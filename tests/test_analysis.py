@@ -15,10 +15,12 @@ from epathopt import (
     loop_regions,
     natural_loop,
     parse_function,
+    print_function,
     reverse_postorder,
+    terminator_targets,
 )
 from conftest import CORPUS_LOOPS, corpus_paths, load_corpus
-from generators import random_function
+from generators import MUTATIONS, mutate, random_function
 from oracles import brute_dominator_sets, idom_to_sets
 
 DIAMOND = """
@@ -50,7 +52,29 @@ b2():
 
 IRREDUCIBLE = (corpus_paths()[0].parent / "reject" / "irreducible.ir").read_text()
 
-
+# Irreducible: b3 and b4 are both loop entries. One pass over the reverse
+# postorder [0, 1, 2, 3, 5, 4, 6, 7] leaves b2 as b3's immediate dominator;
+# the edge b6 -> b3, seen last, shows it is b0.
+SECOND_PASS = """
+func @second_pass(v0) {
+b0(v0):
+  brif v0, b1(), b2()
+b1():
+  jump b4()
+b2():
+  jump b3()
+b3():
+  jump b5()
+b4():
+  jump b5()
+b5():
+  brif v0, b4(), b6()
+b6():
+  brif v0, b3(), b7()
+b7():
+  ret v0
+}
+"""
 
 
 def test_rpo_single_block():
@@ -100,6 +124,44 @@ def test_dominators_match_brute_force_random():
     for _ in range(40):
         f = random_function(rng, max_blocks=8)
         assert idom_to_sets(f) == brute_dominator_sets(f)
+
+
+def _reachable(f):
+    seen, stack = {f.entry}, [f.entry]
+    while stack:
+        for target, _ in terminator_targets(f.block(stack.pop()).terminator):
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
+def test_dominators_match_brute_force_on_mutated_graphs():
+    # Mutants reach shapes the generator never builds: irreducible loops,
+    # reachable blocks with unreachable predecessors, more than 8 blocks.
+    rng = random.Random(0xD0D0)
+    graphs = [parse_function(IRREDUCIBLE), parse_function(SECOND_PASS)]
+    for _ in range(1500):
+        f = random_function(rng, max_blocks=12)
+        for _ in range(rng.randint(1, 2)):
+            f = mutate(rng, f, rng.choice(MUTATIONS))
+        graphs.append(f)
+    seen = {"irreducible": 0, "unreachable_pred": 0, "over_8_blocks": 0}
+    for f in graphs:
+        reachable = _reachable(f)
+        brute = brute_dominator_sets(f)
+        assert idom_to_sets(f) == {b: brute[b] for b in reachable}, print_function(f)
+        try:
+            find_back_edges(f)
+        except IrreducibleError:
+            seen["irreducible"] += 1
+        seen["unreachable_pred"] += any(
+            t in reachable for b in f.blocks if b.id not in reachable
+            for t, _ in terminator_targets(b.terminator)
+        )
+        seen["over_8_blocks"] += len(f.blocks) > 8
+    assert seen["irreducible"] >= 8, seen
+    assert min(seen["unreachable_pred"], seen["over_8_blocks"]) >= 100, seen
 
 
 def test_back_edges_acyclic_diamond():

@@ -261,3 +261,13 @@ def test_non_utf8_input_is_a_located_error(capsys, tmp_path, command, code):
     exit_code, out, err = run(capsys, [command, str(bad)])
     assert (exit_code, out) == (code, "")
     assert err.startswith(f"epath-opt: error: {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, code", [("opt", 1), ("check", 2)])
+def test_unicode_digit_is_a_located_error(capsys, tmp_path, command, code):
+    # "\u00b2" passes str.isdigit but int() rejects it.
+    bad = tmp_path / "superscript.ir"
+    bad.write_text("func @f() {\nb0():\n  v0 = iconst \u00b2\n  ret v0\n}\n", encoding="utf-8")
+    exit_code, out, err = run(capsys, [command, str(bad)])
+    assert (exit_code, out) == (code, "")
+    assert err == f"epath-opt: error: {bad}:3:15: expected integer\n"

@@ -219,6 +219,7 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, analysis, "dominators", calls)
     _count_calls(monkeypatch, ir, "predecessors", calls)
+    _count_calls(monkeypatch, ir, "reverse_postorder", calls)
     compute = Analyses.__dict__["compute"].__func__
 
     def counted_compute(cls, f):
@@ -227,11 +228,20 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
 
     monkeypatch.setattr(Analyses, "compute", classmethod(counted_compute))
 
-    p = EPath(seed_of("nested_loops.ir"))
-    saturate(p, RULES)
+    f = parse_function((CORPUS_DIR / "nested_loops.ir").read_text())
+    p = EPath(from_function(f))
+    report = saturate(p, RULES)
     sort_by_cost(p.variants())
     assert len(p) > 2
-    assert calls == {"dominators": len(p), "predecessors": len(p), "compute": len(p)}
+    # One DFS per graph: the parsed function, each rule output and each
+    # distinct sequence.
+    outputs = report.inserted + report.deduplicated
+    assert calls == {
+        "dominators": len(p),
+        "predecessors": len(p),
+        "reverse_postorder": 1 + outputs + len(p),
+        "compute": len(p),
+    }
     for s in p.variants():
         assert analyze(s).function is s.function is to_function(s)
 

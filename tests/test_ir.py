@@ -81,7 +81,21 @@ def test_parse_comments_and_whitespace():
         ("func @f() {\nb0():\n  v0 = iconst 1\n  ret v9\n}", "undefined value", 1),
         ("func @f(v0, v0) {\nb0(v0, v0):\n  ret\n}", "defined more than once", 1),
         ("func @f() {\nb0():\n  jump b7()\n}", "undefined block", 1),
+        # Irreducible, with v1 defined in b2: one pass over the reverse
+        # postorder takes b3, also entered from b6, to be reached only via b2.
+        (
+            "func @f(v0) {\nb0(v0):\n  brif v0, b1(), b2()\nb1():\n  jump b4()\n"
+            "b2():\n  v1 = iconst 1\n  jump b3()\nb3():\n  v2 = iadd v1, v0\n"
+            "  jump b5()\nb4():\n  jump b5()\nb5():\n  brif v0, b4(), b6()\n"
+            "b6():\n  brif v0, b3(), b7()\nb7():\n  ret v0\n}",
+            "b3: use of v1 not dominated",
+            1,
+        ),
         (IDENTITY + "\n\n" + IDENTITY, "duplicate function name @id", 6),
+        # Digits that str.isdigit accepts but int() rejects.
+        ("func @f() {\nb0():\n  v0 = iconst \u00b2\n  ret\n}", "expected integer", 3),
+        ("func @f(v\u00b9) {\nb0(v\u00b9):\n  ret\n}", "expected value", 1),
+        ("func @f() {\nb\u00b2():\n  ret\n}", "expected block", 2),
     ],
 )
 def test_parse_errors(text, fragment, line):

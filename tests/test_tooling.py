@@ -57,6 +57,7 @@ def test_tracer_installs_counts_and_restores(capsys):
         t.counts["epath.insert.new"] + t.counts["epath.insert.dup"]
     ) > 0
     assert t.counts["esequence.from_function.calls"] > t.counts["ir.validate.calls"] > 0
+    assert t.counts["analysis.dominators.calls"] == t.counts["analysis.compute.calls"] > 0
     for (module_name, attr), original in before.items():
         assert importlib.import_module(module_name).__dict__[attr] is original
     assert rewrite.RULES == rules_before
