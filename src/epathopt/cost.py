@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .analysis import Analyses
 from .epath import EPath
 from .esequence import ESequence, analyze
-from .ir import OPCODE_ARITY
+from .ir import OPCODE_ARITY, logical_lines
 from .ir import print_function  # noqa: F401  kept by name: perfbench/tracer.py wraps it here
 
 
@@ -95,13 +95,11 @@ def default_cost_table() -> CostTable:
 
 def load_cost_table(text: str) -> CostTable:
     """Parse a `name = integer` per line table; `terminator` sets the
-    terminator cost, anything else must be a known opcode."""
+    terminator cost, anything else must be a known opcode. Lines, comments
+    and blank lines are read as in the IR (`ir.logical_lines`)."""
     costs: dict[str, int] = {}
     terminator: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in logical_lines(text):
         name, sep, value = line.partition("=")
         name, value = name.strip(), value.strip()
         if not sep or not name or not value:

@@ -15,14 +15,21 @@ phi nodes. The textual grammar:
     blockarg  := blockref "(" valuelist? ")"
     value     := "v" nat        blockref := "b" nat
 
-Comments run from ";" to end of line. Integers are 64-bit two's-complement
-with wrapping arithmetic.
+Lines end at "\\n", "\\r\\n" or "\\r" and nowhere else: a form feed, vertical
+tab or Unicode line separator is an ordinary character. A comment runs from
+";" to the end of its line. A line that holds nothing but whitespace (as
+`str.strip` counts it) before any comment is blank and skipped; within a line,
+tokens are separated by spaces and tabs only. Cost tables are read by the same
+line rules (`logical_lines`). Integers are 64-bit two's-complement with
+wrapping arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
+from typing import Iterator
 
 ValueId = int
 BlockId = int
@@ -248,38 +255,44 @@ class ParseError(Exception):
 # Parsing
 
 
+def logical_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line that is not blank before any ";", as (its number, its text
+    before the ";"). Lines end only at "\\n", "\\r\\n" and "\\r"."""
+    physical = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for number, raw in enumerate(physical, start=1):
+        line = raw.partition(";")[0]
+        if line.strip():
+            yield number, line
+
+
 class _LineScanner:
     """Cursor over one logical line, tracking columns for diagnostics."""
 
-    def __init__(self, text: str, line_no: int):
-        self.text = text
+    def __init__(self, line_no: int, text: str):
         self.line_no = line_no
+        self.text = text
         self.pos = 0
+        self.end = len(text)
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line_no, self.pos + 1)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+        while self.pos < self.end and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def at_end(self) -> bool:
+    def peek(self) -> str:
+        """The next non-blank character, or "" at the end of the line."""
         self.skip_ws()
-        return self.pos >= len(self.text)
+        return self.text[self.pos : self.pos + 1]
 
     def expect_end(self):
-        if not self.at_end():
+        if self.peek():
             raise self.error(f"trailing input: {self.text[self.pos:]!r}")
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, literal: str):
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
+        if not self.try_take(literal):
             raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
 
     def try_take(self, literal: str) -> bool:
         self.skip_ws()
@@ -291,7 +304,7 @@ class _LineScanner:
     def word(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (
+        while self.pos < self.end and (
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"
         ):
             self.pos += 1
@@ -299,39 +312,33 @@ class _LineScanner:
             raise self.error("expected identifier")
         return self.text[start : self.pos]
 
-    def integer(self) -> int:
-        self.skip_ws()
+    def digits(self) -> str:
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
+        while self.pos < self.end and self.text[self.pos].isdecimal():
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start or self.text[start : self.pos] == "-":
+        return self.text[start : self.pos]
+
+    def integer(self) -> int:
+        negative = self.try_take("-")
+        if not (digits := self.digits()):
             raise self.error("expected integer")
-        return int(self.text[start : self.pos])
+        return -int(digits) if negative else int(digits)
 
     def indexed(self, prefix: str, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        if not self.text.startswith(prefix, self.pos):
-            raise self.error(f"expected {what}")
-        self.pos += len(prefix)
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            self.pos = start
-            raise self.error(f"expected {what}")
-        return int(self.text[digits : self.pos])
+        if self.text.startswith(prefix, start):
+            self.pos += len(prefix)
+            if digits := self.digits():
+                return int(digits)
+        self.pos = start
+        raise self.error(f"expected {what}")
 
     def value(self) -> ValueId:
         return self.indexed("v", "value (vN)")
 
-    def blockref(self) -> BlockId:
-        return self.indexed("b", "block (bN)")
-
     def valuelist(self) -> tuple[ValueId, ...]:
-        if self.at_end() or self.peek() in "),":
+        if self.peek() in "),":  # "" at the end of the line is in every string
             return ()
         vals = [self.value()]
         while self.try_take(","):
@@ -340,41 +347,66 @@ class _LineScanner:
 
     def paren_valuelist(self) -> tuple[ValueId, ...]:
         self.take("(")
-        if self.try_take(")"):
-            return ()
         vals = self.valuelist()
         self.take(")")
         return vals
 
     def blockarg(self) -> tuple[BlockId, tuple[ValueId, ...]]:
-        return self.blockref(), self.paren_valuelist()
+        return self.indexed("b", "block (bN)"), self.paren_valuelist()
 
 
-def _logical_lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0]
-        if line.strip():
-            yield _LineScanner(line, i)
+def _parse_instruction(line: _LineScanner) -> Instruction:
+    result = line.value()
+    line.take("=")
+    opcode = line.word()
+    arity = OPCODE_ARITY.get(opcode)
+    if arity is None:
+        raise line.error(f"unknown opcode {opcode!r}")
+    imm, operands = None, ()
+    if opcode == "iconst":
+        imm = line.integer()
+        if not I64_MIN <= imm <= I64_MAX:
+            raise line.error("iconst immediate out of 64-bit range")
+    else:
+        operands = line.valuelist()
+    line.expect_end()
+    if len(operands) != arity:
+        raise line.error(f"{opcode} expects {arity} operands, got {len(operands)}")
+    return Instruction(opcode, result, operands, imm)
 
 
-class _FunctionParser:
-    def __init__(self, lines: list[_LineScanner]):
-        self.lines = lines
-        self.index = 0
+def _parse_terminator(line: _LineScanner) -> Terminator:
+    kind = line.word()
+    if kind == "jump":
+        term = Jump(*line.blockarg())
+    elif kind == "brif":
+        cond = line.value()
+        line.take(",")
+        then_target, then_args = line.blockarg()
+        line.take(",")
+        term = BrIf(cond, then_target, then_args, *line.blockarg())
+    elif kind == "ret":
+        term = Ret(line.valuelist())
+    else:
+        raise line.error(f"expected terminator, got {kind!r}")
+    line.expect_end()
+    return term
 
-    def at_end(self) -> bool:
-        return self.index >= len(self.lines)
 
-    def next_line(self, expectation: str) -> _LineScanner:
-        if self.at_end():
-            last = self.lines[-1].line_no if self.lines else 1
-            raise ParseError(f"unexpected end of input, expected {expectation}", last)
-        line = self.lines[self.index]
-        self.index += 1
-        return line
+def parse_file(text: str) -> list[Function]:
+    """Parse every function in the text, in order."""
+    lines = starmap(_LineScanner, logical_lines(text))
 
-    def parse_function(self) -> Function:
-        header = self.next_line("'func'")
+    def next_line(expectation: str) -> _LineScanner:
+        # `line` is the line taken last, here or by the loop over headers.
+        nonlocal line
+        for line in lines:
+            return line
+        raise ParseError(f"unexpected end of input, expected {expectation}", line.line_no)
+
+    functions: dict[str, Function] = {}
+    for line in lines:
+        header = line
         header.take("func")
         header.take("@")
         name = header.word()
@@ -383,93 +415,31 @@ class _FunctionParser:
         header.expect_end()
 
         blocks: list[Block] = []
-        while True:
-            line = self.next_line("block or '}'")
-            if line.try_take("}"):
-                line.expect_end()
-                break
-            blocks.append(self.parse_block(line))
+        while not (label := next_line("block or '}'")).try_take("}"):
+            bid, block_params = label.blockarg()
+            label.take(":")
+            label.expect_end()
+            body = next_line("instruction or terminator")
+            instrs: tuple[Instruction, ...] = ()
+            if body.peek() == "v":
+                instrs = (_parse_instruction(body),)
+                body = next_line("terminator")
+            blocks.append(Block(bid, block_params, instrs, _parse_terminator(body)))
+        label.expect_end()
         if not blocks:
             raise ParseError("function has no blocks", header.line_no)
 
         f = Function(name, params, blocks[0].id, tuple(blocks))
-        violations = validate(f)
-        if violations:
+        if violations := validate(f):
             raise ParseError(
                 f"invalid function @{name}: " + "; ".join(violations), header.line_no
             )
-        return f
-
-    def parse_block(self, line: _LineScanner) -> Block:
-        bid = line.blockref()
-        params = line.paren_valuelist()
-        line.take(":")
-        line.expect_end()
-
-        body = self.next_line("instruction or terminator")
-        instrs: tuple[Instruction, ...] = ()
-        if body.peek() == "v":
-            instrs = (self.parse_instruction(body),)
-            body = self.next_line("terminator")
-        term = self.parse_terminator(body)
-        return Block(bid, params, instrs, term)
-
-    def parse_instruction(self, line: _LineScanner) -> Instruction:
-        result = line.value()
-        line.take("=")
-        opcode = line.word()
-        if opcode not in OPCODE_ARITY:
-            raise line.error(f"unknown opcode {opcode!r}")
-        if opcode == "iconst":
-            imm = line.integer()
-            if not I64_MIN <= imm <= I64_MAX:
-                raise line.error("iconst immediate out of 64-bit range")
-            line.expect_end()
-            return Instruction(opcode, result, (), imm)
-        operands = line.valuelist()
-        line.expect_end()
-        if len(operands) != OPCODE_ARITY[opcode]:
-            raise line.error(
-                f"{opcode} expects {OPCODE_ARITY[opcode]} operands, got {len(operands)}"
-            )
-        return Instruction(opcode, result, operands)
-
-    def parse_terminator(self, line: _LineScanner) -> Terminator:
-        kind = line.word()
-        if kind == "jump":
-            target, args = line.blockarg()
-            line.expect_end()
-            return Jump(target, args)
-        if kind == "brif":
-            cond = line.value()
-            line.take(",")
-            then_target, then_args = line.blockarg()
-            line.take(",")
-            else_target, else_args = line.blockarg()
-            line.expect_end()
-            return BrIf(cond, then_target, then_args, else_target, else_args)
-        if kind == "ret":
-            args = line.valuelist()
-            line.expect_end()
-            return Ret(args)
-        raise line.error(f"expected terminator, got {kind!r}")
-
-
-def parse_file(text: str) -> list[Function]:
-    """Parse every function in the text, in order."""
-    parser = _FunctionParser(list(_logical_lines(text)))
-    functions: list[Function] = []
-    seen = set()
-    while not parser.at_end():
-        header_line = parser.lines[parser.index].line_no
-        f = parser.parse_function()
-        if f.name in seen:
-            raise ParseError(f"duplicate function name @{f.name}", header_line)
-        seen.add(f.name)
-        functions.append(f)
+        if name in functions:
+            raise ParseError(f"duplicate function name @{name}", header.line_no)
+        functions[name] = f
     if not functions:
         raise ParseError("no functions found", 1)
-    return functions
+    return list(functions.values())
 
 
 def parse_function(text: str) -> Function:

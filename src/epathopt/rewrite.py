@@ -164,28 +164,27 @@ def match_loops(s: ESequence, analyses: Analyses | None = None) -> list[LoopRegi
 def classify_invariance(
     loop: LoopRegion, s: ESequence, analyses: Analyses | None = None
 ) -> LicmSplit:
-    """Fixpoint split: a block is invariant iff its instruction is pure and
-    every operand is defined outside the loop or by an already-invariant
-    block inside it."""
+    """A block is invariant iff its instruction is pure and every operand is
+    defined outside the loop or by an invariant block inside it. One pass in
+    reverse postorder decides every block: a definition dominates its uses,
+    so its block comes first. Both tuples list blocks in ascending id."""
     analyses = analyses or analyze(s)
     f = analyses.function
     def_use = analyses.def_use
-    candidates = [bid for bid in sorted(loop.body) if f.block(bid).instruction]
 
+    candidates: list[BlockId] = []
     invariant: set[BlockId] = set()
-    changed = True
-    while changed:
-        changed = False
-        for bid in candidates:
-            if bid in invariant:
-                continue
-            instr = f.block(bid).instruction
-            if instr.opcode in IMPURE_OPCODES:
-                continue
-            if all(_invariant_operand(def_use[v][0], loop, invariant) for v in instr.operands):
-                invariant.add(bid)
-                changed = True
+    for bid in analyses.rpo:
+        instr = bid in loop.body and f.block(bid).instruction
+        if not instr:
+            continue
+        candidates.append(bid)
+        if instr.opcode not in IMPURE_OPCODES and all(
+            _invariant_operand(def_use[v][0], loop, invariant) for v in instr.operands
+        ):
+            invariant.add(bid)
 
+    candidates.sort()
     return LicmSplit(
         loop,
         tuple(b for b in candidates if b in invariant),

@@ -130,6 +130,36 @@ def brute_closure(seed, rules):
     return set(seen)
 
 
+def fixpoint_invariance(loop, f):
+    """The blocks of `loop` whose instruction LICM may hoist: the least set
+    closed under "pure, and every operand is a parameter or result defined
+    outside the loop or the result of a block in the set", found by sweeping
+    the blocks in id order until a sweep adds nothing."""
+    defined_in = {}
+    for b in f.blocks:
+        for v in b.params:
+            defined_in[v] = (b.id, False)
+        for instr in b.instructions:
+            defined_in[instr.result] = (b.id, True)
+
+    def invariant_operand(v, found):
+        block, by_instruction = defined_in[v]
+        return block not in loop.body or (by_instruction and block in found)
+
+    found = set()
+    changed = True
+    while changed:
+        changed = False
+        for b in sorted(f.blocks, key=lambda blk: blk.id):
+            instr = b.instruction
+            if b.id not in loop.body or b.id in found or not instr or instr.opcode == "sideeffect":
+                continue
+            if all(invariant_operand(v, found) for v in instr.operands):
+                found.add(b.id)
+                changed = True
+    return found
+
+
 def brute_validate(f):
     """What `validate` must say about reachability and uses, by graph search.
 

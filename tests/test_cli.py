@@ -271,3 +271,25 @@ def test_unicode_digit_is_a_located_error(capsys, tmp_path, command, code):
     exit_code, out, err = run(capsys, [command, str(bad)])
     assert (exit_code, out) == (code, "")
     assert err == f"epath-opt: error: {bad}:3:15: expected integer\n"
+
+
+def test_form_feed_line_keeps_line_numbers(capsys, tmp_path):
+    # Line 1 holds only a form feed; "retx" is on line 8.
+    bad = tmp_path / "formfeed.ir"
+    body = "func @f() {\nb0():\n  jump b1()\nb1():\n  jump b2()\nb2():\n"
+    bad.write_text("\x0c\n" + body + "  retx\n}\n", encoding="utf-8")
+    exit_code, out, err = run(capsys, ["opt", str(bad)])
+    assert (exit_code, out) == (1, "")
+    assert err == f"epath-opt: error: {bad}:8:7: expected terminator, got 'retx'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["opt", SEC2, "--max-iters", "0"], "limits must be positive"),
+        (["check", SEC2, "--args", "0", "--rules", "licm,zap"], "unknown rules: zap"),
+        (["check", SEC2, "--args", "0", "--fuel", "0"], "fuel must be positive"),
+    ],
+)
+def test_bad_option_values_exit_2(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"epath-opt: error: {message}\n")

@@ -143,6 +143,16 @@ def test_load_cost_table_errors(text, fragment):
         load_cost_table(text)
 
 
+def test_load_cost_table_counts_lines_like_the_ir():
+    # A form feed neither ends a line nor makes one non-blank.
+    with pytest.raises(ValueError, match="^line 3: unknown opcode 'bogus'$"):
+        load_cost_table("imul = 4\n\x0c\nbogus = 1")
+    with pytest.raises(ValueError, match="^line 3: bad integer 'x'$"):
+        load_cost_table("imul = 4\r\n; comment\r\niadd = x\r\n")
+    table = load_cost_table("imul = 4\r; comment\riconst = 0  ; free\r")
+    assert (table.opcode_cost("imul"), table.opcode_cost("iconst")) == (4, 0)
+
+
 def test_extract_singleton_is_seed():
     p = EPath(from_function(load_corpus()["identity.ir"]))
     assert extract(p) == p.sequence(p.seed)

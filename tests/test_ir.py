@@ -105,6 +105,127 @@ def test_parse_errors(text, fragment, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        ("func @f(v0, v1) {\nb0(v0, v1):\n  ret v0 v1\n}", "trailing input: 'v1'", 3, 10),
+        ("func @f() {\nb0()\n  ret\n}", "expected ':'", 2, 5),
+        ("func @() {\nb0():\n  ret\n}", "expected identifier", 1, 7),
+        (
+            "func @f() {\nb0():",
+            "unexpected end of input, expected instruction or terminator",
+            2,
+            1,
+        ),
+        ("func @f() {\n}", "function has no blocks", 1, 1),
+        (
+            "func @f() {\nb0():\n  v0 = iconst 9223372036854775808\n  ret v0\n}",
+            "iconst immediate out of 64-bit range",
+            3,
+            34,
+        ),
+        ("", "no functions found", 1, 1),
+        ("; only a comment\n\n   ; another\n", "no functions found", 1, 1),
+        (
+            IDENTITY + "\n" + IDENTITY.replace("@id", "@id2"),
+            "expected exactly one function, found 2",
+            1,
+            1,
+        ),
+    ],
+)
+def test_parse_error_triples(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_function(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+# The characters other than "\n" and "\r" that str.splitlines breaks at.
+NON_NEWLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NON_NEWLINE_BREAKS)
+def test_only_newlines_end_a_line(sep):
+    # A line holding only such a character is blank and shifts no line number.
+    with pytest.raises(ParseError) as exc:
+        parse_function(f"{sep}\nfunc @f() {{\nb0():\n  retx\n}}")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "expected terminator, got 'retx'",
+        4,
+        7,
+    )
+    # Inside a line it is an ordinary character, not a line break.
+    with pytest.raises(ParseError) as exc:
+        parse_function(f"func @f() {{\nb0():{sep}  ret\n}}")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        f"trailing input: {sep + '  ret'!r}",
+        2,
+        6,
+    )
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_end_lines(newline):
+    text = IDENTITY + "\n; two functions\n" + IDENTITY.replace("@id", "@id2")
+    assert parse_file(text.replace("\n", newline)) == parse_file(text)
+    with pytest.raises(ParseError) as exc:
+        parse_function("func @f() {\nb0():\n\n  retx\n}".replace("\n", newline))
+    assert (exc.value.line, exc.value.col) == (4, 7)
+
+
+# Characters, tokens and awkward digits that mutations splice into inputs;
+# form feeds are weighted up.
+MUTATION_ALPHABET = [
+    " ", "\t", "\n", "\r", "\r\n", *NON_NEWLINE_BREAKS, "\x0c", "\x0c", "\xa0",
+    ";", ",", "(", ")", ":", "=", "@", "{", "}", "-", "_", "v", "b", "0", "7",
+    "func", "iconst", "iadd", "jump", "brif", "ret", "\u00b2", "\u0663", "\uff56",
+    "9223372036854775808", "-9223372036854775809",
+]
+
+
+def _mutated_texts(rng, count):
+    """`count` corpus and `random_function` texts, each with one to three
+    characters deleted, inserted or substituted from MUTATION_ALPHABET."""
+    texts = [p.read_text() for p in corpus_paths()]
+    texts += [print_function(random_function(rng, max_blocks=12, name=f"m{i}")) for i in range(100)]
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            i, kind = rng.randrange(len(text) + 1), rng.random()
+            rest = text[i + 1 :] if kind < 0.6 else text[i:]
+            middle = "" if kind < 0.3 else rng.choice(MUTATION_ALPHABET)
+            text = text[:i] + middle + rest
+        yield text
+
+
+def test_parse_errors_point_into_the_input():
+    rng = random.Random(0x11E5)
+    seen = {"parsed": 0, "failed": 0, "failed_after_a_break": 0}
+    for text in _mutated_texts(rng, 5000):
+        # Anything but a ParseError escapes and fails the test.
+        try:
+            parse_file(text)
+        except ParseError as error:
+            physical = re.split(r"\r\n|\r|\n", text)  # [""] for an empty text
+            assert 1 <= error.line <= len(physical), (text, error)
+            assert 1 <= error.col <= len(physical[error.line - 1]) + 1, (text, error)
+            seen["failed"] += 1
+            before = "".join(physical[: error.line])
+            seen["failed_after_a_break"] += any(sep in before for sep in NON_NEWLINE_BREAKS)
+        else:
+            seen["parsed"] += 1
+    assert seen["parsed"] >= 150 and seen["failed_after_a_break"] >= 500, seen
+
+
+def test_parse_print_roundtrip_random_functions():
+    rng = random.Random(0x2071)
+    for i in range(200):
+        f = random_function(rng, max_blocks=12, name=f"r{i}")
+        text = print_function(f)
+        assert parse_function(text) == f, text
+        assert print_function(parse_function(text)) == text
+
+
 def test_parse_error_reports_column():
     with pytest.raises(ParseError) as exc:
         parse_function("func @f() {\nb0():\n  v0 = iconst zz\n  ret\n}")
@@ -160,6 +281,36 @@ def test_validate_use_not_dominated():
     )
     f = Function("f", (0,), 0, blocks)
     assert any("not dominated" in v for v in validate(f))
+
+
+@pytest.mark.parametrize(
+    "params,block,violation",
+    [
+        ((), Block(-1, (), (), Ret(())), "negative block id"),
+        ((0,), Block(0, (), (), Ret(())), "function params differ from entry block params"),
+        ((-1,), Block(0, (-1,), (), Ret((-1,))), "negative value id"),
+        ((), Block(0, (), (Instruction("bogus", 0),), Ret(())), "b0: unknown opcode 'bogus'"),
+        (
+            (0,),
+            Block(0, (0,), (Instruction("iadd", 1, (0,)),), Ret((1,))),
+            "b0: iadd expects 2 operands, got 1",
+        ),
+        ((), Block(0, (), (Instruction("iconst", 0),), Ret((0,))), "b0: iconst without immediate"),
+        (
+            (),
+            Block(0, (), (Instruction("iconst", 0, (), 1 << 63),), Ret((0,))),
+            "b0: iconst immediate out of 64-bit range",
+        ),
+        (
+            (0,),
+            Block(0, (0,), (Instruction("iadd", 1, (0, 0), 5),), Ret((1,))),
+            "b0: iadd carries an immediate",
+        ),
+    ],
+)
+def test_validate_flags_malformed_built_functions(params, block, violation):
+    f = Function("f", params, block.id, (block,))
+    assert validate(f) == [violation]
 
 
 def test_validate_corpus_all_clean():

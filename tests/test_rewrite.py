@@ -3,6 +3,7 @@ import random
 import pytest
 
 from epathopt import (
+    Analyses,
     Block,
     ExprPattern,
     Function,
@@ -22,14 +23,15 @@ from epathopt import (
     match_loops,
     parse_function,
     print_function,
+    remap,
     rules_named,
     to_function,
 )
 from epathopt.ir import predecessors
-from epathopt.rewrite import _FOLDABLE, _Editor, _fold_sites, _hoist
+from epathopt.rewrite import _FOLDABLE, _Editor, _fold_sites, _hoist, apply_broken
 from conftest import argument_vectors, assert_all_equivalent, closure, golden, load_corpus
 from generators import random_function
-from oracles import brute_matches
+from oracles import brute_matches, fixpoint_invariance
 
 ADD_CONSTS = ExprPattern(
     "root", PatOp("iadd", (PatOp("iconst", imm="a"), PatOp("iconst", imm="b")))
@@ -168,6 +170,59 @@ def test_classify_split_partitions_instruction_blocks(corpus):
             }
             assert set(split.invariant_blocks) | set(split.variant_blocks) == instr_blocks
             assert not set(split.invariant_blocks) & set(split.variant_blocks)
+
+
+def _chain_loop(rng, length):
+    """A loop whose body is a chain of `length` instruction blocks, each
+    reading the parameter v0, the loop-carried v1 or an earlier result."""
+    lines = ["func @chain(v0) {", "b0(v0):", "  jump b1(v0)", "b1(v1):", "  jump b2()"]
+    for i in range(length):
+        bid, result, readable = i + 2, i + 2, [0, 0, 1, *range(2, i + 2)]
+        op = rng.choice(["iconst", "iadd", "imul", "iadd", "sideeffect"])
+        if op == "iconst":
+            instr = f"iconst {rng.randrange(-9, 10)}"
+        elif op == "sideeffect":
+            instr = f"sideeffect v{rng.choice(readable)}"
+        else:
+            instr = f"{op} v{rng.choice(readable)}, v{rng.choice(readable)}"
+        lines += [f"b{bid}():", f"  v{result} = {instr}", f"  jump b{bid + 1}()"]
+    exit_bid, last = length + 2, length + 1
+    lines += [f"b{exit_bid}():", f"  brif v{last}, b1(v{last}), b{exit_bid + 1}()"]
+    lines += [f"b{exit_bid + 1}():", "  ret v1", "}"]
+    return parse_function("\n".join(lines))
+
+
+def test_classify_invariance_matches_fixed_point_reference():
+    # Each variant is classified as canonicalized (ids in reverse postorder)
+    # and with its block ids shuffled, where id order is not a topological
+    # order of the invariant chains.
+    rng = random.Random(0x11C3)
+    functions = list(load_corpus().values())
+    functions += [random_function(rng, max_blocks=12, name=f"r{i}") for i in range(200)]
+    functions += [_chain_loop(rng, rng.randint(2, 6)) for _ in range(100)]
+    loops = chains = 0
+    for f in functions:
+        for s in closure(f):
+            g = s.function
+            ids = [b.id for b in g.blocks]
+            values = [v for b in g.blocks for v in b.params]
+            values += [b.instruction.result for b in g.blocks if b.instruction]
+            shuffled = remap(g, {v: v for v in values}, dict(zip(ids, rng.sample(ids, len(ids)))))
+            for h in (g, shuffled):
+                analyses = Analyses.compute(h)
+                for loop in analyses.loops:
+                    expected = fixpoint_invariance(loop, h)
+                    instr_blocks = [b for b in sorted(loop.body) if h.block(b).instruction]
+                    split = classify_invariance(loop, s, analyses)
+                    assert split.invariant_blocks == tuple(b for b in instr_blocks if b in expected)
+                    assert split.variant_blocks == tuple(b for b in instr_blocks if b not in expected)
+                    loops += 1
+                    chains += any(
+                        analyses.def_use[v][0].block in expected
+                        for b in expected
+                        for v in h.block(b).instruction.operands
+                    )
+    assert loops >= 500 and chains >= 20, (loops, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +396,21 @@ def test_splicing_entry_that_passes_arguments_raises():
     ))
     with pytest.raises(ValueError, match="cannot splice entry block b0"):
         _Editor(f).try_splice(0)
+
+
+def test_splice_refuses_a_block_that_jumps_to_itself():
+    f = Function("f", (), 0, (
+        Block(0, (), (), Jump(1, ())),
+        Block(1, (), (), Jump(1, ())),
+    ))
+    ed = _Editor(f)
+    assert ed.try_splice(1) is False
+    assert ed.finish() == f
+
+
+def test_broken_rule_has_nothing_to_bump_without_a_constant():
+    s = from_function(parse_function("func @id(v0) {\nb0(v0):\n  ret v0\n}"))
+    assert apply_broken(s) == []
 
 
 def test_working_copy_canonicalizes_like_its_finished_function():
