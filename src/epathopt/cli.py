@@ -27,37 +27,45 @@ from .analysis import IrreducibleError
 from .cost import CostTable, cost_of, default_cost_table, load_cost_table, sort_by_cost
 from .epath import EPath, saturate
 from .esequence import from_function, to_dot, to_function
-from .ir import FuelExhausted, Function, ParseError, interpret, parse_file, print_function
+from .ir import FuelExhausted, Function, ParseError, interpret, parse_file, parse_integer
+from .ir import print_function
 from .rewrite import RewriteRule, rules_named
 
 DEFAULT_RULES = ["licm", "constfold"]
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"epath-opt: error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """`_Failure(message, code)` ends a command: `main` prints the message as
+    an error on stderr and exits with the code."""
 
 
-def _parse_input(path: Path, error_code: int) -> list[Function] | int:
+def _rules(names: list[str]) -> list[RewriteRule]:
+    try:
+        return rules_named(names)
+    except ValueError as exc:
+        raise _Failure(str(exc), 2)
+
+
+def _parse_input(path: Path, error_code: int) -> list[Function]:
     try:
         text = path.read_text()
     except OSError as exc:
-        return _fail(str(exc), error_code)
+        raise _Failure(str(exc), error_code)
     except UnicodeDecodeError as exc:
-        return _fail(f"{path}: {exc}", error_code)
+        raise _Failure(f"{path}: {exc}", error_code)
     try:
         return parse_file(text)
     except ParseError as exc:
-        return _fail(f"{path}:{exc}", error_code)
+        raise _Failure(f"{path}:{exc}", error_code)
 
 
-def _saturated(f: Function, rules: list[RewriteRule], **limits) -> EPath | int:
+def _saturated(f: Function, rules: list[RewriteRule], **limits) -> EPath:
     """The saturated e-path of `f`, warning on stderr when saturation stops
     at a limit; exit code 2 when `f` is irreducible."""
     try:
         path = EPath(from_function(f))
     except IrreducibleError as exc:
-        return _fail(f"@{f.name}: {exc}", 2)
+        raise _Failure(f"@{f.name}: {exc}", 2)
     report = saturate(path, rules, **limits)
     if not report.reached_fixed_point:
         print(
@@ -70,29 +78,20 @@ def _saturated(f: Function, rules: list[RewriteRule], **limits) -> EPath | int:
 
 def cmd_opt(ns: argparse.Namespace) -> int:
     if ns.max_iters <= 0 or ns.max_seqs <= 0:
-        return _fail("limits must be positive", 2)
-    try:
-        rules = rules_named(ns.rules)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+        raise _Failure("limits must be positive", 2)
+    rules = _rules(ns.rules)
 
     if ns.cost_table is not None:
         try:
             table = load_cost_table(ns.cost_table.read_text())
         except (OSError, ValueError) as exc:
-            return _fail(f"cost table: {exc}", 2)
+            raise _Failure(f"cost table: {exc}", 2)
     else:
         table = default_cost_table()
 
-    functions = _parse_input(ns.input, error_code=1)
-    if isinstance(functions, int):
-        return functions
-
     outputs = []
-    for f in functions:
+    for f in _parse_input(ns.input, error_code=1):
         path = _saturated(f, rules, max_iterations=ns.max_iters, max_sequences=ns.max_seqs)
-        if isinstance(path, int):
-            return path
         outputs.append(_render_result(f, path, table, ns))
 
     print("\n\n".join(outputs))
@@ -121,26 +120,17 @@ def cmd_check(ns: argparse.Namespace) -> int:
     try:
         args = _parse_int_list(ns.args)
     except ValueError:
-        return _fail(f"bad --args value {ns.args!r}", 2)
-    try:
-        rules = rules_named(ns.rules)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+        raise _Failure(f"bad --args value {ns.args!r}", 2)
+    rules = _rules(ns.rules)
     if ns.fuel <= 0:
-        return _fail("fuel must be positive", 2)
+        raise _Failure("fuel must be positive", 2)
 
-    functions = _parse_input(ns.input, error_code=2)
-    if isinstance(functions, int):
-        return functions
-
-    for f in functions:
+    for f in _parse_input(ns.input, error_code=2):
         if len(args) != len(f.params):
-            return _fail(
+            raise _Failure(
                 f"@{f.name} takes {len(f.params)} arguments, got {len(args)}", 2
             )
         path = _saturated(f, rules)
-        if isinstance(path, int):
-            return path
 
         results = [
             (seq.digest, interpret(seq.function, args, ns.fuel))
@@ -167,7 +157,7 @@ def _parse_int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(part.strip()) for part in text.split(",")]
+    return [parse_integer(part.strip()) for part in text.split(",")]
 
 
 def _parse_rule_list(text: str) -> list[str]:
@@ -210,7 +200,11 @@ _PARSER = build_arg_parser()
 def main(argv: list[str] | None = None) -> int:
     ns = _PARSER.parse_args(argv)
     try:
-        code = cmd_opt(ns) if ns.command == "opt" else cmd_check(ns)
+        try:
+            code = cmd_opt(ns) if ns.command == "opt" else cmd_check(ns)
+        except _Failure as exc:
+            message, code = exc.args
+            print(f"epath-opt: error: {message}", file=sys.stderr)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early. Point stdout at devnull so the

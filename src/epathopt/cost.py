@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .analysis import Analyses
 from .epath import EPath
 from .esequence import ESequence, analyze
-from .ir import OPCODE_ARITY, logical_lines
+from .ir import OPCODE_ARITY, logical_lines, parse_integer
 from .ir import print_function  # noqa: F401  kept by name: perfbench/tracer.py wraps it here
 
 
@@ -59,15 +59,17 @@ class CostPoly:
         return " + ".join(terms) if terms else "0"
 
 
+def _order_key(cost: CostPoly) -> tuple:
+    """The key of the cost order, which `compare` and `sort_by_cost` share:
+    the degree, then the coefficients from the highest down. On normalized
+    polynomials this is lexicographic from the highest coefficient down."""
+    return cost.degree, cost.coefficients[::-1]
+
+
 def compare(a: CostPoly, b: CostPoly) -> Ordering:
     """Total order: lexicographic from the highest coefficient downward."""
-    width = max(len(a.coefficients), len(b.coefficients))
-    pa = a.coefficients + (0,) * (width - len(a.coefficients))
-    pb = b.coefficients + (0,) * (width - len(b.coefficients))
-    for k in range(width - 1, -1, -1):
-        if pa[k] != pb[k]:
-            return Ordering.LESS if pa[k] < pb[k] else Ordering.GREATER
-    return Ordering.EQUAL
+    ka, kb = _order_key(a), _order_key(b)
+    return Ordering((ka > kb) - (ka < kb))
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,9 @@ def load_cost_table(text: str) -> CostTable:
         if not sep or not name or not value:
             raise ValueError(f"line {line_no}: expected 'name = integer'")
         try:
-            cost = int(value)
-        except ValueError:
-            raise ValueError(f"line {line_no}: bad integer {value!r}") from None
+            cost = parse_integer(value)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
         if name == "terminator":
             if terminator is not None:
                 raise ValueError(f"line {line_no}: duplicate terminator entry")
@@ -144,18 +146,10 @@ def cost_of(
 
 
 def sort_by_cost(variants: list[ESequence], table: CostTable | None = None) -> list[ESequence]:
-    """Ascending cost, ties broken by canonical printed form (`s.text`).
-
-    On normalized polynomials, (degree, coefficients from the highest down)
-    orders exactly as `compare` does.
-    """
+    """Ascending cost in the order of `compare`, ties broken by canonical
+    printed form (`s.text`)."""
     table = table or default_cost_table()
-
-    def key(s: ESequence):
-        cost = cost_of(s, table)
-        return cost.degree, cost.coefficients[::-1], s.text
-
-    return sorted(variants, key=key)
+    return sorted(variants, key=lambda s: (_order_key(cost_of(s, table)), s.text))
 
 
 def extract(p: EPath, table: CostTable | None = None) -> ESequence:

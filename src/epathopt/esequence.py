@@ -18,18 +18,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .analysis import Analyses, IrreducibleError, find_back_edges
+from .analysis import Analyses, IrreducibleError
 from .ir import (
     Block,
     BlockId,
-    BrIf,
     Function,
-    Jump,
     ValueId,
     print_function,
     remap_block,
     render_block,
     render_function,
+    terminator_targets,
     validate,
 )
 
@@ -97,9 +96,9 @@ def from_function(f: Function, *, checked: bool = True) -> ESequence:
     if checked:
         try:
             analyze(s)
-        except IrreducibleError:
-            find_back_edges(f)  # raises again, naming f's block ids
-            raise
+        except IrreducibleError as exc:
+            # Canonical block i is f.rpo[i]: name the edge in f's own ids.
+            raise IrreducibleError(tuple(f.rpo[b] for b in exc.edge)) from None
     return s
 
 
@@ -191,11 +190,9 @@ def to_dot(s: ESequence, name: str = "seq") -> str:
         label = "\\l".join(line.lstrip() for line in render_block(b)) + "\\l"
         lines.append(f'  b{b.id} [label="{label}"];')
     for b in s.blocks:
-        term = b.terminator
-        if isinstance(term, Jump):
-            lines.append(f"  b{b.id} -> b{term.target};")
-        elif isinstance(term, BrIf):
-            lines.append(f'  b{b.id} -> b{term.then_target} [label="then"];')
-            lines.append(f'  b{b.id} -> b{term.else_target} [label="else"];')
+        edges = terminator_targets(b.terminator)
+        labels = (' [label="then"]', ' [label="else"]') if len(edges) == 2 else ("",)
+        for (target, _), label in zip(edges, labels):
+            lines.append(f"  b{b.id} -> b{target}{label};")
     lines.append("}")
     return "\n".join(lines)

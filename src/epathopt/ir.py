@@ -13,7 +13,7 @@ phi nodes. The textual grammar:
     term      := "jump" blockarg | "brif" value "," blockarg "," blockarg
                | "ret" valuelist?
     blockarg  := blockref "(" valuelist? ")"
-    value     := "v" nat        blockref := "b" nat
+    value     := "v" nat        blockref := "b" nat        int := "-"? nat
 
 Lines end at "\\n", "\\r\\n" or "\\r" and nowhere else: a form feed, vertical
 tab or Unicode line separator is an ordinary character. A comment runs from
@@ -177,6 +177,28 @@ def terminator_values(term: Terminator) -> list[ValueId]:
     return list(term.args)
 
 
+def retarget(term: Terminator, edge, value=None) -> Terminator:
+    """`term` with each edge `(target, args)` replaced by `edge(target, args)`
+    and, given `value`, its brif condition and `ret` values renamed by it: the
+    one edge rewriter, which renaming and the rules' edits share."""
+    kind = type(term)
+    if kind is Jump:
+        return Jump(*edge(term.target, term.args))
+    if kind is BrIf:
+        cond = term.cond if value is None else value(term.cond)
+        then_edge = edge(term.then_target, term.then_args)
+        return BrIf(cond, *then_edge, *edge(term.else_target, term.else_args))
+    return term if value is None else Ret(tuple(map(value, term.args)))
+
+
+def edges_conflict(term: Terminator) -> bool:
+    """Whether `term` breaks the brif-collapse rule: a brif may not reach one
+    block with two different argument lists."""
+    if type(term) is not BrIf:
+        return False
+    return term.then_target == term.else_target and term.then_args != term.else_args
+
+
 def successors(f: Function, bid: BlockId) -> list[BlockId]:
     """The targets of `terminator_targets`, without their arguments."""
     term = f.block(bid).terminator
@@ -265,6 +287,13 @@ def logical_lines(text: str) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
+def parse_integer(text: str) -> int:
+    """`text` as the grammar's `int`, the integer syntax of every text input; else ValueError."""
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 class _LineScanner:
     """Cursor over one logical line, tracking columns for diagnostics."""
 
@@ -319,10 +348,10 @@ class _LineScanner:
         return self.text[start : self.pos]
 
     def integer(self) -> int:
-        negative = self.try_take("-")
+        sign = "-" if self.try_take("-") else ""
         if not (digits := self.digits()):
             raise self.error("expected integer")
-        return -int(digits) if negative else int(digits)
+        return parse_integer(sign + digits)
 
     def indexed(self, prefix: str, what: str) -> int:
         self.skip_ws()
@@ -602,12 +631,7 @@ def _find_violations(f: Function) -> list[str]:
                     f"b{b.id}: terminator arity: b{target} expects "
                     f"{len(f.block(target).params)} args, got {len(args)}"
                 )
-        term = b.terminator
-        if (
-            isinstance(term, BrIf)
-            and term.then_target == term.else_target
-            and term.then_args != term.else_args
-        ):
+        if edges_conflict(b.terminator):
             violations.append(f"b{b.id}: brif targets equal but args differ")
 
     if not targets_ok:
@@ -751,24 +775,14 @@ def remap_block(
     block: Block, value_map: dict[ValueId, ValueId], block_map: dict[BlockId, BlockId]
 ) -> Block:
     """`block` with every value and block id, its own included, renamed
-    through the given maps."""
+    through the given maps; its terminator is renamed by one `retarget`."""
+
+    value = value_map.__getitem__
 
     def values(vals) -> tuple[ValueId, ...]:
-        return tuple(value_map[v] for v in vals)
+        return tuple(map(value, vals))
 
-    term = block.terminator
-    if isinstance(term, Jump):
-        term = Jump(block_map[term.target], values(term.args))
-    elif isinstance(term, BrIf):
-        term = BrIf(
-            value_map[term.cond],
-            block_map[term.then_target],
-            values(term.then_args),
-            block_map[term.else_target],
-            values(term.else_args),
-        )
-    else:
-        term = Ret(values(term.args))
+    term = retarget(block.terminator, lambda t, args: (block_map[t], values(args)), value)
     instructions = tuple(
         Instruction(i.opcode, value_map[i.result], values(i.operands), i.imm)
         for i in block.instructions

@@ -26,7 +26,6 @@ from .esequence import ESequence, analyze, from_function
 from .ir import (
     Block,
     BlockId,
-    BrIf,
     Function,
     IMPURE_OPCODES,
     Instruction,
@@ -34,7 +33,9 @@ from .ir import (
     OPCODE_ARITY,
     Terminator,
     ValueId,
+    edges_conflict,
     fold_constants,
+    retarget,
     terminator_targets,
     wrap64,
 )
@@ -207,8 +208,9 @@ class _Editor:
 
     `blocks` starts as the source's own map of immutable `Block`s; every
     write replaces a block through `set_instruction`, `set_terminator`,
-    `add_block` or `try_splice`, so the source never changes. `finish()`
-    returns the result as a `Function`.
+    `add_block` or `try_splice`, so the source never changes. Edges into a
+    block are moved by `ir.retarget`, whose result `set_terminator` stores.
+    `finish()` returns the result as a `Function`.
 
     The overlay keeps every block's predecessors, sorted by block id, as
     `predecessors` lists them. It starts from `f.preds`, the map `f` keeps
@@ -262,8 +264,9 @@ class _Editor:
             self._preds[t] = sorted([*self._preds.get(t, ()), block.id])
 
     def try_splice(self, bid: BlockId) -> bool:
-        """Remove a parameterless jump-only block, rewiring its predecessors
-        to its target. Refuses shapes the IR cannot express (a brif whose
+        """Remove a parameterless jump-only block: `retarget` sends each
+        predecessor's edges into it to its target, with its jump's args.
+        Refuses shapes the IR cannot express (`edges_conflict`: a brif whose
         branches would collapse onto one target with differing args)."""
         b = self.blocks[bid]
         if b.params or not isinstance(b.terminator, Jump):
@@ -277,12 +280,10 @@ class _Editor:
 
         updates: dict[BlockId, Terminator] = {}
         for p in self.preds(bid):
-            new_term = _redirect(self.blocks[p].terminator, bid, target, lambda _: args)
-            if (
-                isinstance(new_term, BrIf)
-                and new_term.then_target == new_term.else_target
-                and new_term.then_args != new_term.else_args
-            ):
+            new_term = retarget(
+                self.blocks[p].terminator, lambda t, a: (target, args) if t == bid else (t, a)
+            )
+            if edges_conflict(new_term):
                 return False
             updates[p] = new_term
 
@@ -302,22 +303,6 @@ class _Editor:
 
 def _targets(term: Terminator) -> set[BlockId]:
     return {t for t, _ in terminator_targets(term)}
-
-
-def _redirect(term: Terminator, old: BlockId, new: BlockId, make_args) -> Terminator:
-    if isinstance(term, Jump):
-        if term.target == old:
-            return Jump(new, make_args(term.args))
-        return term
-    if isinstance(term, BrIf):
-        then_target, then_args = term.then_target, term.then_args
-        else_target, else_args = term.else_target, term.else_args
-        if then_target == old:
-            then_target, then_args = new, make_args(then_args)
-        if else_target == old:
-            else_target, else_args = new, make_args(else_args)
-        return BrIf(term.cond, then_target, then_args, else_target, else_args)
-    return term
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +349,7 @@ def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
         p = entry_preds[0]
         term = ed.blocks[p].terminator
         final_args = next(a for t, a in terminator_targets(term) if t == header)
-        ed.set_terminator(p, _redirect(term, header, chain[0], lambda _: ()))
+        ed.set_terminator(p, retarget(term, lambda t, a: (chain[0], ()) if t == header else (t, a)))
     else:
         # Multiple entry edges merge through one forwarding block so hoisted
         # results keep dominating their uses inside the loop.
@@ -372,7 +357,8 @@ def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
         fresh = tuple(ed.fresh_value() for _ in ed.blocks[header].params)
         ed.add_block(Block(merge, fresh, (), Jump(chain[0], ())))
         for p in entry_preds:
-            ed.set_terminator(p, _redirect(ed.blocks[p].terminator, header, merge, lambda a: a))
+            term = ed.blocks[p].terminator
+            ed.set_terminator(p, retarget(term, lambda t, a: (merge, a) if t == header else (t, a)))
         final_args = fresh
 
     for i, (bid, instr) in enumerate(zip(chain, hoisted)):

@@ -289,6 +289,8 @@ def test_form_feed_line_keeps_line_numbers(capsys, tmp_path):
         (["opt", SEC2, "--max-iters", "0"], "limits must be positive"),
         (["check", SEC2, "--args", "0", "--rules", "licm,zap"], "unknown rules: zap"),
         (["check", SEC2, "--args", "0", "--fuel", "0"], "fuel must be positive"),
+        (["check", SEC2, "--args", "1_0"], "bad --args value '1_0'"),
+        (["check", SEC2, "--args", "+3"], "bad --args value '+3'"),
     ],
 )
 def test_bad_option_values_exit_2(capsys, argv, message):

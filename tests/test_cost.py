@@ -1,4 +1,5 @@
 from functools import cmp_to_key
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from epathopt import (
     sort_by_cost,
     to_function,
 )
+from epathopt import cost
 from conftest import load_corpus
 
 RULES = rules_named(["licm", "constfold"])
@@ -64,6 +66,20 @@ def test_compare_antisymmetric(a, b):
         assert pa == pb
     else:
         assert backward.value == -forward.value
+
+
+@given(coeff_lists, coeff_lists)
+def test_compare_agrees_with_sort_by_cost(a, b):
+    pa, pb = CostPoly(tuple(a)), CostPoly(tuple(b))
+    # Stand-ins for two sequences with these costs. `a`'s text sorts after
+    # `b`'s, so on a tie `b` goes first and `a` goes first exactly when its
+    # cost is lower.
+    seq_a, seq_b = SimpleNamespace(text="a"), SimpleNamespace(text="")
+    costs = {id(seq_a): pa, id(seq_b): pb}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cost, "cost_of", lambda s, table: costs[id(s)])
+        a_first = sort_by_cost([seq_b, seq_a])[0] is seq_a
+    assert a_first == (compare(pa, pb) is Ordering.LESS)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
@@ -136,6 +152,9 @@ def test_load_cost_table():
         ("iadd 3", "expected"),
         ("iadd = 1\niadd = 2", "duplicate"),
         ("terminator = 1\nterminator = 2", "duplicate"),
+        # The IR's integer syntax: no digit separators, no "+" sign.
+        ("iadd = 1_0", r"^line 1: bad integer '1_0'$"),
+        ("imul = 2\niadd = +3", r"^line 2: bad integer '\+3'$"),
     ],
 )
 def test_load_cost_table_errors(text, fragment):

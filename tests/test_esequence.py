@@ -3,9 +3,14 @@ import random
 import pytest
 
 from epathopt import (
+    Block,
+    BrIf,
     EPath,
+    Function,
     IrreducibleError,
+    Ret,
     canonical_hash,
+    find_back_edges,
     from_function,
     parse_function,
     print_function,
@@ -17,7 +22,7 @@ from epathopt import (
     validate,
 )
 from conftest import corpus_paths, golden, load_corpus
-from generators import random_function
+from generators import mutate, random_function
 
 
 def _alpha_rename(f, rng):
@@ -114,6 +119,44 @@ def test_from_function_rejects_irreducible():
     f = parse_function((corpus_paths()[0].parent / "reject" / "irreducible.ir").read_text())
     with pytest.raises(IrreducibleError):
         from_function(f)
+
+
+def _branch_chain(rng, n):
+    """A valid function of n blocks with shuffled ids: each block branches on
+    the entry's parameter to the next, the last returns it."""
+    ids = rng.sample(range(3 * n), n)
+    blocks = [
+        Block(bid, (0,) if i == 0 else (), (), BrIf(0, nxt, (), nxt, ()))
+        for i, (bid, nxt) in enumerate(zip(ids, ids[1:]))
+    ]
+    blocks.append(Block(ids[-1], (), (), Ret((0,))))
+    return Function("g", (0,), ids[0], tuple(blocks))
+
+
+def test_irreducible_edge_is_named_in_the_functions_own_ids():
+    rng = random.Random(0x1BB)
+    reject = corpus_paths()[0].parent / "reject" / "irreducible.ir"
+    irreducible = parse_function(reject.read_text())
+    graphs = [irreducible] + [_alpha_rename(irreducible, rng) for _ in range(10)]
+    # Seeded mutants: branch chains with rerouted edges, kept when valid and
+    # irreducible.
+    while len(graphs) < 50:
+        f = _branch_chain(rng, rng.randint(3, 8))
+        for _ in range(rng.randint(1, 3)):
+            f = mutate(rng, f, "reroute_edge")
+        if validate(f):
+            continue
+        try:
+            find_back_edges(f)
+        except IrreducibleError:
+            graphs.append(f)
+    for f in graphs:
+        with pytest.raises(IrreducibleError) as expected:
+            find_back_edges(f)
+        with pytest.raises(IrreducibleError) as raised:
+            from_function(f)
+        assert raised.value.edge == expected.value.edge, print_function(f)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_digest_no_collisions_across_corpus_closures():

@@ -258,6 +258,9 @@ def test_validate_brif_equal_targets_unequal_args():
     )
     f = Function("f", (0, 1), 0, blocks)
     assert any("brif targets equal" in v for v in validate(f))
+    # One target with the same args on both branches is allowed.
+    same = Function("f", (0, 1), 0, (Block(0, (0, 1), (), BrIf(0, 1, (0,), 1, (0,))), blocks[1]))
+    assert validate(same) == []
 
 
 def test_validate_unreachable_and_entry_preds():
@@ -476,3 +479,32 @@ def test_validate_names_each_duplicate_block_id_once():
     blocks += [Block(1, (), (), Ret(())), Block(2, (), (), Ret(())), Block(2, (), (), Ret(()))]
     f = Function("f", (), 0, tuple(blocks))
     assert validate(f) == ["duplicate block id b1", "duplicate block id b2"]
+
+
+def test_retarget_rewrites_only_the_edges_it_is_given():
+    def into_b9(target, args):
+        # The rules' edit: send the edges into b1 to b9, dropping their args.
+        return (9, ()) if target == 1 else (target, args)
+
+    assert ir.retarget(Jump(1, (0,)), into_b9) == Jump(9, ())
+    assert ir.retarget(Jump(2, (0,)), into_b9) == Jump(2, (0,))
+    assert ir.retarget(BrIf(0, 2, (0,), 1, (0,)), into_b9) == BrIf(0, 2, (0,), 9, ())
+    assert ir.retarget(BrIf(0, 1, (), 1, ()), into_b9) == BrIf(0, 9, (), 9, ())
+    assert ir.retarget(Ret((0,)), into_b9) == Ret((0,))
+    # Renaming: `value` renames the condition and the returned values, not
+    # the args, which belong to the edges.
+    rename = {0: 5, 1: 6}.__getitem__
+    assert ir.retarget(BrIf(0, 2, (1,), 1, ()), into_b9, rename) == BrIf(5, 2, (1,), 9, ())
+    assert ir.retarget(Ret((1, 0)), into_b9, rename) == Ret((6, 5))
+
+
+def test_remap_block_with_identity_maps_returns_an_equal_block():
+    rng = random.Random(0x1D)
+    functions = list(load_corpus().values())
+    functions += [random_function(rng, max_blocks=12) for _ in range(200)]
+    for f in functions:
+        values = {v: v for b in f.blocks for v in b.params}
+        values.update((i.result, i.result) for b in f.blocks for i in b.instructions)
+        blocks = {b.id: b.id for b in f.blocks}
+        for b in f.blocks:
+            assert ir.remap_block(b, values, blocks) == b, (f.name, b)

@@ -2,6 +2,7 @@
 tests fail when a name it wraps is renamed or an import it relies on is
 dropped, before a traced benchmark run crashes on it."""
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -62,3 +63,23 @@ def test_tracer_installs_counts_and_restores(capsys):
         assert importlib.import_module(module_name).__dict__[attr] is original
     assert rewrite.RULES == rules_before
     assert EPath.__dict__["insert"] is insert_before
+
+
+TERMINATOR_FIELDS = {"then_target", "else_target", "then_args", "else_args", "cond"}
+
+
+def test_only_ir_reads_the_terminators_fields():
+    # Every other module reads edges through `terminator_targets` and
+    # rewrites them through `retarget`, so the terminator's shape is known
+    # to `ir` alone.
+    package = Path(cli.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "ir.py")
+    assert len(modules) >= 7
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in TERMINATOR_FIELDS
+        }
+        assert not read, f"{path.name} reads {sorted(read)}"
