@@ -14,6 +14,7 @@ phi nodes. The textual grammar:
                | "ret" valuelist?
     blockarg  := blockref "(" valuelist? ")"
     value     := "v" nat        blockref := "b" nat        int := "-"? nat
+    nat       := ("0" | "1" | ... | "9")+
 
 Lines end at "\\n", "\\r\\n" or "\\r" and nowhere else: a form feed, vertical
 tab or Unicode line separator is an ordinary character. A comment runs from
@@ -289,7 +290,7 @@ def logical_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def parse_integer(text: str) -> int:
     """`text` as the grammar's `int`, the integer syntax of every text input; else ValueError."""
-    if not text.removeprefix("-").isdecimal():
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
         raise ValueError(f"bad integer {text!r}")
     return int(text)
 
@@ -343,7 +344,7 @@ class _LineScanner:
 
     def digits(self) -> str:
         start = self.pos
-        while self.pos < self.end and self.text[self.pos].isdecimal():
+        while self.pos < self.end and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         return self.text[start : self.pos]
 
@@ -444,8 +445,10 @@ def parse_file(text: str) -> list[Function]:
         header.expect_end()
 
         blocks: list[Block] = []
+        block_lines: dict[str, int] = {}
         while not (label := next_line("block or '}'")).try_take("}"):
             bid, block_params = label.blockarg()
+            block_lines[render_blockref(bid)] = label.line_no
             label.take(":")
             label.expect_end()
             body = next_line("instruction or terminator")
@@ -460,9 +463,9 @@ def parse_file(text: str) -> list[Function]:
 
         f = Function(name, params, blocks[0].id, tuple(blocks))
         if violations := validate(f):
-            raise ParseError(
-                f"invalid function @{name}: " + "; ".join(violations), header.line_no
-            )
+            # Located at the header of the block the first violation names.
+            line_no = block_lines.get(violations[0].partition(":")[0], header.line_no)
+            raise ParseError(f"invalid function @{name}: " + "; ".join(violations), line_no)
         if name in functions:
             raise ParseError(f"duplicate function name @{name}", header.line_no)
         functions[name] = f
@@ -551,10 +554,9 @@ def print_function(f: Function) -> str:
 
 
 def validate(f: Function) -> list[str]:
-    """Return every violated IR invariant; an empty list means valid.
-
-    A function is checked once: later calls return a copy of its kept
-    verdict, `f.violations`."""
+    """Return every violated IR invariant, one found inside a block prefixed
+    with its name ("bN: "); an empty list means valid. A function is checked
+    once: later calls return a copy of its kept verdict, `f.violations`."""
     return list(f.violations)
 
 

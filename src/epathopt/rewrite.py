@@ -8,10 +8,10 @@ building its blocks; `saturate` verifies each new digest.
 Shipped rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
-* ``constfold``: fold binary operations over two constants, found in one
-  scan of the function (`match_expression` is the reference the scan is
-  tested against; kept deliberately small, no general dead-code
-  elimination).
+* ``constfold``: fold binary operations over two constants. It is a table
+  of `ExprPattern`s, one per opcode, matched in one scan of the function by
+  `_match_patterns`, the multi-pattern form of `match_expression` (kept
+  deliberately small, no general dead-code elimination).
 * ``broken``: deliberately unsound negative control for differential
   checking; never use outside tests or `check` runs.
 """
@@ -116,23 +116,31 @@ def match_expression(pat: ExprPattern, s: ESequence) -> list[dict[str, int]]:
     the root instruction's canonical block position. Binding values are
     ValueIds for PatVar bindings and immediates for iconst bindings.
     """
-    instr_by_result: dict[ValueId, Instruction] = {}
-    for b in s.blocks:
-        if b.instruction:
-            instr_by_result[b.instruction.result] = b.instruction
-
-    matches = []
-    for b in s.blocks:
-        if not b.instruction:
-            continue
-        bindings: dict[str, int] = {}
-        if _match_node(pat.tree, b.instruction, instr_by_result, bindings):
-            bindings[pat.root] = b.instruction.result
-            matches.append(bindings)
-    return matches
+    return _match_patterns((pat,), analyze(s))[0]
 
 
-def _match_node(p: PatOp, instr: Instruction, instr_by_result, bindings) -> bool:
+def _match_patterns(
+    patterns: tuple[ExprPattern, ...], analyses: Analyses
+) -> list[list[dict[str, int]]]:
+    """`match_expression` of each pattern over `analyses.function`, in one
+    scan of its blocks: an instruction is tried against the patterns rooted
+    at its opcode, and an operand is followed to its defining instruction
+    through `analyses.def_use`."""
+    by_root: dict[str, list[int]] = {}
+    for i, pat in enumerate(patterns):
+        by_root.setdefault(pat.tree.opcode, []).append(i)
+    found: list[list[dict[str, int]]] = [[] for _ in patterns]
+    for b in analyses.function.blocks:
+        for instr in b.instructions:
+            for i in by_root.get(instr.opcode, ()):
+                bindings = {}
+                if _match_node(patterns[i].tree, instr, analyses, bindings):
+                    bindings[patterns[i].root] = instr.result
+                    found[i].append(bindings)
+    return found
+
+
+def _match_node(p: PatOp, instr: Instruction, analyses: Analyses, bindings) -> bool:
     if instr.opcode != p.opcode:
         return False
     if p.opcode == "iconst" and p.imm is not None:
@@ -143,12 +151,11 @@ def _match_node(p: PatOp, instr: Instruction, instr_by_result, bindings) -> bool
     for sub, operand in zip(p.operands, instr.operands):
         if isinstance(sub, PatVar):
             bindings[sub.name] = operand
-        else:
-            defining = instr_by_result.get(operand)
-            if defining is None:  # block parameter, not an instruction
-                return False
-            if not _match_node(sub, defining, instr_by_result, bindings):
-                return False
+            continue
+        site = analyses.def_use[operand][0]  # a block parameter defines no instruction
+        defining = isinstance(site, InstrDef) and analyses.function.block(site.block).instruction
+        if not defining or not _match_node(sub, defining, analyses, bindings):
+            return False
     return True
 
 
@@ -372,35 +379,20 @@ def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
 # Constant folding
 
 
-_FOLDABLE = ("iadd", "isub", "imul", "icmp_slt")
+_CONSTFOLD = tuple(
+    ExprPattern("root", PatOp(op, (PatOp("iconst", imm="a"), PatOp("iconst", imm="b"))))
+    for op in ("iadd", "isub", "imul", "icmp_slt")
+)
 
 
 def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESequence]:
-    """One variant per `op(iconst, iconst)` match, with the matched block
-    rewritten to the folded constant and dead constant feeders straightened
-    out of the block chain."""
+    """One variant per match of a `_CONSTFOLD` pattern `op(iconst a, iconst b)`,
+    ordered by pattern, then by block: the matched block becomes `iconst
+    fold_constants(op, a, b)`, and dead constant feeders are straightened out
+    of the block chain."""
     analyses = analyses or analyze(s)
-    return [_fold_at(analyses, opcode, m) for opcode, m in _fold_sites(analyses.function)]
-
-
-def _fold_sites(f: Function) -> list[tuple[str, dict[str, int]]]:
-    """Every `op(iconst, iconst)` site for `op` in `_FOLDABLE`, in one scan:
-    ordered by `_FOLDABLE`, then by block order, with the bindings that
-    `match_expression` gives for `op(iconst a, iconst b)` rooted at `root`."""
-    consts: dict[ValueId, int] = {}
-    candidates: list[Instruction] = []
-    for b in f.blocks:
-        for instr in b.instructions:
-            if instr.opcode == "iconst":
-                consts[instr.result] = instr.imm
-            elif instr.opcode in _FOLDABLE:
-                candidates.append(instr)
-    sites: dict[str, list[dict[str, int]]] = {op: [] for op in _FOLDABLE}
-    for instr in candidates:
-        x, y = instr.operands
-        if x in consts and y in consts:
-            sites[instr.opcode].append({"a": consts[x], "b": consts[y], "root": instr.result})
-    return [(op, m) for op in _FOLDABLE for m in sites[op]]
+    found = _match_patterns(_CONSTFOLD, analyses)
+    return [_fold_at(analyses, p.tree.opcode, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
 
 
 def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:

@@ -1,14 +1,15 @@
-"""Random structured-program generator for fuzz tests.
+"""Random program generators for fuzz tests.
 
-Programs are built from a nesting grammar (straight-line chains, diamonds,
-loops), which keeps every generated function valid SSA with reducible control
-flow by construction.
+`random_function` builds programs from a nesting grammar (straight-line
+chains, diamonds, loops), which keeps every generated function valid SSA with
+reducible control flow by construction. `irreducible_function` builds valid
+functions whose control flow is irreducible by construction.
 """
 
 import random
 from dataclasses import replace
 
-from epathopt import Block, BrIf, Function, Instruction, Jump, Ret, terminator_targets
+from epathopt import Block, BrIf, Function, Instruction, Jump, Ret, remap, terminator_targets
 
 _PURE_BINOPS = ["iadd", "isub", "imul", "icmp_slt"]
 
@@ -107,6 +108,55 @@ def random_function(rng: random.Random, max_blocks: int = 8, name: str = "fuzz")
 
     blocks = tuple(sorted(builder.blocks, key=lambda b: b.id))
     return Function(name, params, entry, blocks)
+
+
+def _straight_line(builder, bid, params, scope):
+    """Emit a random chain of one-instruction blocks from `bid`, adding each
+    result to `scope`; returns the chain's last block and its params, which
+    the caller emits."""
+    for _ in range(builder.rng.randrange(0, 4)):
+        instr, result = _random_instr(builder, scope)
+        nxt = builder.reserve_block()
+        builder.emit(bid, params, instr, Jump(nxt, ()))
+        scope.append(result)
+        bid, params = nxt, ()
+    return bid, params
+
+
+def irreducible_function(rng: random.Random, name: str = "irr") -> Function:
+    """A valid function with irreducible control flow: straight-line code
+    from the entry ends in a brif into two blocks, each of which branches to
+    the other and to an exit followed by straight-line code. Neither block
+    dominates the other, so the cycle between them has two entries. Block ids
+    are shuffled, but the entry's is the lowest, so the printed text parses
+    back to the function."""
+    builder = _Builder(rng)
+    params = tuple(builder.fresh_value() for _ in range(rng.randrange(1, 3)))
+    entry, first, second, exit_bid = (builder.reserve_block() for _ in range(4))
+    scope = list(params)
+    bid, bid_params = _straight_line(builder, entry, params, scope)
+    pick = rng.choice
+    term = BrIf(pick(scope), first, (pick(scope),), second, (pick(scope),))
+    builder.emit(bid, bid_params, None, term)
+    for bid, other in ((first, second), (second, first)):
+        param = builder.fresh_value()
+        instr, result = _random_instr(builder, scope + [param])
+        local = scope + [param, result]
+        term = BrIf(pick(local), other, (pick(local),), exit_bid, (pick(local),))
+        builder.emit(bid, (param,), instr, term)
+    exit_param = builder.fresh_value()
+    scope.append(exit_param)
+    bid, bid_params = _straight_line(builder, exit_bid, (exit_param,), scope)
+    builder.emit(bid, bid_params, None, Ret((pick(scope),)))
+
+    lowest, *ids = sorted(rng.sample(range(3 * builder.next_block), builder.next_block))
+    rng.shuffle(ids)
+    f = remap(
+        Function(name, params, entry, tuple(builder.blocks)),
+        {v: v for v in range(builder.next_value)},
+        dict(enumerate([lowest, *ids])),
+    )
+    return Function(name, params, f.entry, tuple(sorted(f.blocks, key=lambda b: b.id)))
 
 
 MUTATIONS = ("drop_definition", "copy_instruction", "delete_block", "reroute_edge")

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -6,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from epathopt import parse_file, parse_function, print_function, validate
+from epathopt import (
+    IrreducibleError,
+    find_back_edges,
+    parse_file,
+    parse_function,
+    print_function,
+    validate,
+)
 from epathopt.cli import main
 from conftest import CORPUS_DIR, golden
+from generators import irreducible_function
 
 SEC2 = str(CORPUS_DIR / "sec2_loop.ir")
 BOUNDED = str(CORPUS_DIR / "sec2_loop_bounded.ir")
@@ -109,6 +118,21 @@ def test_opt_irreducible_exit_2(capsys):
     code, out, err = run(capsys, ["opt", IRREDUCIBLE])
     assert code == 2
     assert "retreating edge" in err and "b2 -> b1" in err
+
+
+@pytest.mark.parametrize("command", ["opt", "check"])
+def test_generated_irreducible_function_exits_2_naming_its_edge(capsys, tmp_path, command):
+    rng = random.Random(0x1AA)
+    for i in range(20):
+        f = irreducible_function(rng, name=f"irr{i}")
+        path = tmp_path / f"{f.name}.ir"
+        path.write_text(print_function(f) + "\n")
+        with pytest.raises(IrreducibleError) as expected:
+            find_back_edges(f)
+        argv = [command, str(path)]
+        if command == "check":
+            argv += ["--args", ",".join("1" for _ in f.params)]
+        assert run(capsys, argv) == (2, "", f"epath-opt: error: @{f.name}: {expected.value}\n")
 
 
 def test_opt_unknown_rule_exit_2(capsys):
@@ -291,6 +315,7 @@ def test_form_feed_line_keeps_line_numbers(capsys, tmp_path):
         (["check", SEC2, "--args", "0", "--fuel", "0"], "fuel must be positive"),
         (["check", SEC2, "--args", "1_0"], "bad --args value '1_0'"),
         (["check", SEC2, "--args", "+3"], "bad --args value '+3'"),
+        (["check", SEC2, "--args", "\u0661"], "bad --args value '\u0661'"),
     ],
 )
 def test_bad_option_values_exit_2(capsys, argv, message):

@@ -155,6 +155,7 @@ def test_load_cost_table():
         # The IR's integer syntax: no digit separators, no "+" sign.
         ("iadd = 1_0", r"^line 1: bad integer '1_0'$"),
         ("imul = 2\niadd = +3", r"^line 2: bad integer '\+3'$"),
+        ("iadd = \u0661\u0660", "^line 1: bad integer '\u0661\u0660'$"),
     ],
 )
 def test_load_cost_table_errors(text, fragment):

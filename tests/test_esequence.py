@@ -22,7 +22,7 @@ from epathopt import (
     validate,
 )
 from conftest import corpus_paths, golden, load_corpus
-from generators import mutate, random_function
+from generators import irreducible_function, mutate, random_function
 
 
 def _alpha_rename(f, rng):
@@ -150,6 +150,7 @@ def test_irreducible_edge_is_named_in_the_functions_own_ids():
             find_back_edges(f)
         except IrreducibleError:
             graphs.append(f)
+    graphs += [irreducible_function(rng) for _ in range(50)]
     for f in graphs:
         with pytest.raises(IrreducibleError) as expected:
             find_back_edges(f)

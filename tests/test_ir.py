@@ -78,9 +78,9 @@ def test_parse_comments_and_whitespace():
         ("func @f( {\nb0():\n  ret\n}", "value", 1),
         ("func @f() {\nb0():\n  v0 = bogus\n  ret\n}", "unknown opcode", 3),
         ("func @f() {\nb0():\n  v0 = iadd v1\n  ret\n}", "2 operands", 3),
-        ("func @f() {\nb0():\n  v0 = iconst 1\n  ret v9\n}", "undefined value", 1),
+        ("func @f() {\nb0():\n  v0 = iconst 1\n  ret v9\n}", "undefined value", 2),
         ("func @f(v0, v0) {\nb0(v0, v0):\n  ret\n}", "defined more than once", 1),
-        ("func @f() {\nb0():\n  jump b7()\n}", "undefined block", 1),
+        ("func @f() {\nb0():\n  jump b7()\n}", "undefined block", 2),
         # Irreducible, with v1 defined in b2: one pass over the reverse
         # postorder takes b3, also entered from b6, to be reached only via b2.
         (
@@ -89,7 +89,7 @@ def test_parse_comments_and_whitespace():
             "  jump b5()\nb4():\n  jump b5()\nb5():\n  brif v0, b4(), b6()\n"
             "b6():\n  brif v0, b3(), b7()\nb7():\n  ret v0\n}",
             "b3: use of v1 not dominated",
-            1,
+            9,
         ),
         (IDENTITY + "\n\n" + IDENTITY, "duplicate function name @id", 6),
         # Digits that str.isdigit accepts but int() rejects.
@@ -131,6 +131,30 @@ def test_parse_errors(text, fragment, line):
             "expected exactly one function, found 2",
             1,
             1,
+        ),
+        # A violation inside a block is located at the block's header line;
+        # one of the whole function at the function's.
+        (
+            "func @f() {\nb0():\n  jump b1()\nb1():\n  ret v9\n}",
+            "invalid function @f: b1: use of undefined value v9",
+            4,
+            1,
+        ),
+        (
+            "func @f(v0) {\nb0():\n  ret\n}",
+            "invalid function @f: function params differ from entry block params",
+            1,
+            1,
+        ),
+        # Only ASCII digits: str.isdecimal also accepts "\u0661" and "\u0660"
+        # (Arabic-Indic one and zero).
+        ("func @f(v\u0661) {\nb0(v\u0661):\n  ret\n}", "expected value (vN)", 1, 9),
+        ("func @f() {\nb\u0661():\n  ret\n}", "expected block (bN)", 2, 1),
+        (
+            "func @f() {\nb0():\n  v0 = iconst -\u0661\u0660\n  ret v0\n}",
+            "expected integer",
+            3,
+            16,
         ),
     ],
 )

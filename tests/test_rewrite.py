@@ -28,7 +28,7 @@ from epathopt import (
     to_function,
 )
 from epathopt.ir import predecessors
-from epathopt.rewrite import _FOLDABLE, _Editor, _fold_sites, _hoist, apply_broken
+from epathopt.rewrite import _CONSTFOLD, _Editor, _hoist, _match_patterns, apply_broken
 from conftest import argument_vectors, assert_all_equivalent, closure, golden, load_corpus
 from generators import random_function
 from oracles import brute_matches, fixpoint_invariance
@@ -485,18 +485,25 @@ def test_editor_predecessors_stay_current_through_splices_and_hoists():
     assert spliced >= 300 and hoisted >= 30, (spliced, hoisted)
 
 
-def test_fold_sites_equal_match_expression_per_pattern():
-    patterns = [
-        ExprPattern("root", PatOp(op, (PatOp("iconst", imm="a"), PatOp("iconst", imm="b"))))
-        for op in _FOLDABLE
-    ]
+# Two patterns rooted at one opcode and one rooted at `iconst`: the constfold
+# table has one pattern per root, so it never puts two on one dispatch list.
+SHARED_ROOTS = (
+    ADD_CONSTS,
+    ExprPattern("root", PatOp("iadd", (PatVar("x"), PatOp("iconst", imm="a")))),
+    ExprPattern("root", PatOp("iconst", imm="a")),
+)
+
+
+def test_match_patterns_equal_brute_matches_per_pattern():
     rng = random.Random(0xF01D)
     functions = list(load_corpus().values())
     functions += [random_function(rng, max_blocks=12) for _ in range(200)]
-    found = 0
+    found = {table: [0] * len(table) for table in (_CONSTFOLD, SHARED_ROOTS)}
     for f in functions:
         for s in closure(f):
-            expected = [(p.tree.opcode, m) for p in patterns for m in match_expression(p, s)]
-            assert _fold_sites(s.analyses.function) == expected, print_function(to_function(s))
-            found += len(expected)
-    assert found >= 100, found
+            for table, counts in found.items():
+                for i, (pat, matches) in enumerate(zip(table, _match_patterns(table, s.analyses))):
+                    assert matches == brute_matches(pat, s), (pat, print_function(to_function(s)))
+                    counts[i] += len(matches)
+    assert sum(found[_CONSTFOLD]) >= 100, found
+    assert min(found[SHARED_ROOTS]) >= 30, found

@@ -83,3 +83,35 @@ def test_only_ir_reads_the_terminators_fields():
             if isinstance(node, ast.Attribute) and node.attr in TERMINATOR_FIELDS
         }
         assert not read, f"{path.name} reads {sorted(read)}"
+
+
+def test_every_module_level_private_name_is_read_in_src():
+    # A private function, class or constant that no code in the package reads
+    # is dead, or kept only for the tests. Loads are counted in the syntax
+    # tree, so a name mentioned in a docstring or comment does not count, nor
+    # does a recursive call inside its own definition.
+    package = Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
+    assert len(trees) >= 8
+    loads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and all(key in own for load, key in loads if load == name):
+                    unread.append(f"{module}: {name}")
+    assert not unread, unread
