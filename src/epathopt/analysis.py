@@ -1,7 +1,6 @@
 """Classical CFG analyses: dominators (by `must_dataflow`, the solver
 `validate` uses), back edges, natural loops, and def-use chains, built on
-the CFG walks a `Function` keeps (`rpo`, `preds`). This module re-exports
-`reverse_postorder`.
+the CFG walks a `Function` keeps (`rpo`, `preds`).
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -16,7 +15,6 @@ from .ir import (
     Function,
     ValueId,
     must_dataflow,
-    reverse_postorder,
     successors,
     terminator_values,
 )
@@ -180,23 +178,20 @@ def loop_regions(f: Function) -> list[LoopRegion]:
 
 
 def def_use(f: Function) -> dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]:
-    """Complete def-use chains, keyed by value."""
+    """Complete def-use chains, keyed by value in definition order; each
+    value's uses in block order. One scan, block by block in ascending id."""
     defs: dict[ValueId, DefSite] = {}
     uses: dict[ValueId, list[UseSite]] = {}
     for b in sorted(f.blocks, key=lambda blk: blk.id):
         for i, v in enumerate(b.params):
             defs[v] = ParamDef(b.id, i)
-            uses.setdefault(v, [])
         for instr in b.instructions:
             defs[instr.result] = InstrDef(b.id)
-            uses.setdefault(instr.result, [])
-    for b in sorted(f.blocks, key=lambda blk: blk.id):
-        for instr in b.instructions:
             for i, v in enumerate(instr.operands):
                 uses.setdefault(v, []).append(InstrUse(b.id, i))
         for slot, v in enumerate(terminator_values(b.terminator)):
             uses.setdefault(v, []).append(TermUse(b.id, slot))
-    return {v: (defs[v], tuple(uses[v])) for v in defs}
+    return {v: (site, tuple(uses.get(v, ()))) for v, site in defs.items()}
 
 
 @dataclass(frozen=True)

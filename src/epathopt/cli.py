@@ -154,10 +154,11 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
+    """Comma-separated integers; spaces and tabs around them are ignored, as
+    between the IR's tokens."""
+    if not text.strip(" \t"):
         return []
-    return [parse_integer(part.strip()) for part in text.split(",")]
+    return [parse_integer(part.strip(" \t")) for part in text.split(",")]
 
 
 def _parse_rule_list(text: str) -> list[str]:

@@ -98,12 +98,13 @@ def default_cost_table() -> CostTable:
 def load_cost_table(text: str) -> CostTable:
     """Parse a `name = integer` per line table; `terminator` sets the
     terminator cost, anything else must be a known opcode. Lines, comments
-    and blank lines are read as in the IR (`ir.logical_lines`)."""
+    and blank lines are read as in the IR (`ir.logical_lines`), and as there
+    only spaces and tabs separate tokens."""
     costs: dict[str, int] = {}
     terminator: int | None = None
     for line_no, line in logical_lines(text):
         name, sep, value = line.partition("=")
-        name, value = name.strip(), value.strip()
+        name, value = name.strip(" \t"), value.strip(" \t")
         if not sep or not name or not value:
             raise ValueError(f"line {line_no}: expected 'name = integer'")
         try:

@@ -4,14 +4,17 @@ fixed-point saturation driver.
 Sequences are keyed by structural digest and are never removed or mutated;
 every rewrite only ever grows the set. Insertion deduplicates by digest and
 confirms by comparing canonical texts, which encode the structure one to
-one, so hash consing cannot silently conflate distinct sequences.
+one, so hash consing cannot silently conflate distinct sequences. The set
+analyzes every sequence before it stores it, which builds and validates the
+sequence and checks its reducibility, so it holds only valid, reducible SSA
+whatever its callers pass in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .esequence import ESequence, analyze, verify
+from .esequence import ESequence, analyze
 from .rewrite import RewriteRule
 
 
@@ -34,9 +37,10 @@ class SaturationReport:
 
 
 class EPath:
-    """A growing, deduplicated set of equivalent sequences."""
+    """A growing, deduplicated set of equivalent, checked sequences."""
 
     def __init__(self, seed: ESequence):
+        analyze(seed)
         self._sequences: dict[str, ESequence] = {seed.digest: seed}
         self._edges: dict[RewriteEdge, None] = {}  # insertion-ordered set
         self.seed = seed.digest
@@ -63,7 +67,9 @@ class EPath:
         Returns True if the sequence was new, False if one with the same
         canonical text was already present (the edge is still recorded if
         itself new). Existing entries are never touched; a stored sequence
-        with the same digest but another text raises RuntimeError.
+        with the same digest but another text raises RuntimeError. A new
+        sequence is analyzed first: an invalid one raises ValueError, an
+        irreducible one IrreducibleError, and the path is left unchanged.
         """
         if edge.source not in self._sequences:
             raise ValueError(f"unknown source digest {edge.source}")
@@ -85,6 +91,7 @@ class EPath:
             self._edges.setdefault(edge)
             return False
 
+        analyze(s)
         self._sequences[s.digest] = s
         self._edges.setdefault(edge)
         return True
@@ -115,11 +122,10 @@ def saturate(
     rewrite results per rule, duplicates included.
 
     Rule outputs are canonicalized without validation and carry only their
-    canonical text and digest; only an output whose digest is new is
-    verified (valid SSA, reducible), which builds its blocks, so each
-    distinct sequence is built, validated and analyzed once. A duplicate is
-    checked by `EPath.insert` to have the text of the stored, verified one,
-    and its blocks are never built.
+    canonical text and digest; `EPath.insert` builds, validates and analyzes
+    only an output whose digest is new, so each distinct sequence is built,
+    validated and analyzed once. A duplicate is checked to have the text of
+    the stored one, and its blocks are never built.
 
     Rules are pure and sequences immutable, so applications over distinct
     sequences could run concurrently with `insert` as the only serialization
@@ -147,7 +153,6 @@ def saturate(
                             return SaturationReport(
                                 iterations, len(path) - stored, deduplicated, False, counts
                             )
-                        verify(out)
                     if path.insert(out, RewriteEdge(digest, out.digest, rule.name)):
                         new.append(out.digest)
                     else:

@@ -8,7 +8,9 @@ sequences with equal digests, which is what makes hash-consing work.
 Canonicalization renders the canonical text straight from its source and
 digests that; the sequence's one `Function` is built only when first read,
 so a rule output that turns out to be a duplicate costs one rendering and a
-lookup.
+lookup. Building it is the one place a sequence is validated: its source is
+checked first, and `analyze` adds reducibility, so `EPath`, which analyzes
+what it stores, holds only valid, reducible sequences.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ class ESequence:
     @cached_property
     def function(self) -> Function:
         """The sequence as the function `s`, built on first use and kept:
-        validation, analyses, costs and the rules all read this one object.
-        Not a field: equality and hashing ignore it."""
+        analyses, costs and the rules all read this one object. Not a field:
+        equality and hashing ignore it. Raises ValueError listing the
+        violations of an invalid source, which stays unbuilt."""
         f = Function("s", self.params, 0, self._build())
         object.__setattr__(self, "_build", None)  # release the source
         return f
@@ -78,20 +81,18 @@ def from_function(f: Function, *, checked: bool = True) -> ESequence:
     are renumbered in definition order (entry params first, then each
     block's params and instruction result).
 
-    The sequence's function is built from `f`'s blocks on first use; rules
-    pass the `Function` their working copy finishes, which shares the
-    source's unchanged blocks. A checked `Function` keeps its verdict, so one
-    the parser has checked is not checked again.
+    The sequence's function is built from `f`'s blocks on first use, and
+    `f` is validated then; rules pass the `Function` their working copy
+    finishes, which shares the source's unchanged blocks. A checked
+    `Function` keeps its verdict, so one the parser has checked is not
+    checked again.
 
-    Raises ValueError listing the violations of an invalid function, and
-    IrreducibleError naming an edge in `f`'s own block ids. Rules pass
-    `checked=False`: the result then only has a digest and its text, and
-    `verify` must accept it before it is trusted. `saturate` verifies only
-    digests it has not stored yet; a duplicate has the text of a verified
-    sequence and never builds its function.
+    With `checked`, the sequence is built and analyzed at once: ValueError
+    lists the violations of an invalid function, and IrreducibleError names
+    an edge in `f`'s own block ids. Rules pass `checked=False`: the result
+    then only has a digest and its text, and is checked when `EPath` stores
+    it; a duplicate has the text of a stored sequence and is never built.
     """
-    if checked:
-        _require_valid(f)
     s = _canonicalize(f)
     if checked:
         try:
@@ -100,13 +101,6 @@ def from_function(f: Function, *, checked: bool = True) -> ESequence:
             # Canonical block i is f.rpo[i]: name the edge in f's own ids.
             raise IrreducibleError(tuple(f.rpo[b] for b in exc.edge)) from None
     return s
-
-
-def verify(s: ESequence) -> None:
-    """Check a sequence built with `checked=False`: ValueError listing its
-    violations, or IrreducibleError. Leaves its analyses cached."""
-    _require_valid(s.function)
-    analyze(s)
 
 
 def _require_valid(f: Function) -> None:
@@ -124,9 +118,10 @@ def _canonicalize(f: Function) -> ESequence:
     through them: it is exactly `print_function` of the renamed function
     named `s`, and the digest is its blake2b. No block is built here.
 
-    Validity and reducibility do not depend on names, so checking the result
-    checks `f`. Renaming fails only on an invalid `f` (an undefined target or
-    value, an unreached or duplicate block); `validate` then names why."""
+    Validity and reducibility do not depend on names, so the sequence is
+    checked through `f`, when its blocks are built. Renaming fails only on an
+    invalid `f` (an undefined target or value, an unreached or duplicate
+    block); `validate` then names why."""
     try:
         rpo = f.rpo
         block_map = {old: new for new, old in enumerate(rpo)}
@@ -144,17 +139,15 @@ def _canonicalize(f: Function) -> ESequence:
     if text is None or len(rpo) != len(f.blocks):
         _require_valid(f)
         raise ValueError(f"invalid function @{f.name}: cannot canonicalize")
-    return ESequence(
-        params, text, _digest(text), lambda: _build_blocks(source, block_map, value_map)
-    )
+    return ESequence(params, text, _digest(text), lambda: _build_blocks(f, block_map, value_map))
 
 
 def _build_blocks(
-    source: list[Block],
-    block_map: dict[BlockId, BlockId],
-    value_map: dict[ValueId, ValueId],
+    f: Function, block_map: dict[BlockId, BlockId], value_map: dict[ValueId, ValueId]
 ) -> tuple[Block, ...]:
-    return tuple(remap_block(block, value_map, block_map) for block in source)
+    """The canonical blocks, renamed from a validated `f`."""
+    _require_valid(f)
+    return tuple(remap_block(f.block(old), value_map, block_map) for old in f.rpo)
 
 
 def to_function(s: ESequence, name: str = "s") -> Function:

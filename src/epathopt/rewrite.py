@@ -4,7 +4,7 @@ A rule is a pure function from one sequence to zero or more new, semantically
 equivalent sequences; it never mutates its input. Rules edit a copy-on-write
 overlay of the sequence's function and hand the `Function` it finishes to
 `from_function`, which renders and digests it without validating it or
-building its blocks; `saturate` verifies each new digest.
+building its blocks; `EPath.insert` checks each new digest.
 Shipped rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.

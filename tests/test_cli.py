@@ -23,6 +23,7 @@ SEC2 = str(CORPUS_DIR / "sec2_loop.ir")
 BOUNDED = str(CORPUS_DIR / "sec2_loop_bounded.ir")
 CONSTS = str(CORPUS_DIR / "straightline_consts.ir")
 IRREDUCIBLE = str(CORPUS_DIR / "reject" / "irreducible.ir")
+IDENTITY = str(CORPUS_DIR / "identity.ir")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -316,7 +317,16 @@ def test_form_feed_line_keeps_line_numbers(capsys, tmp_path):
         (["check", SEC2, "--args", "1_0"], "bad --args value '1_0'"),
         (["check", SEC2, "--args", "+3"], "bad --args value '+3'"),
         (["check", SEC2, "--args", "\u0661"], "bad --args value '\u0661'"),
+        # Only spaces and tabs separate the values, as between the IR's tokens.
+        (["check", SEC2, "--args", "\u00a07"], "bad --args value '\\xa07'"),
+        (["check", SEC2, "--args", "\u30007"], "bad --args value '\\u30007'"),
+        (["check", SEC2, "--args", "7\n"], "bad --args value '7\\n'"),
     ],
 )
 def test_bad_option_values_exit_2(capsys, argv, message):
     assert run(capsys, argv) == (2, "", f"epath-opt: error: {message}\n")
+
+
+def test_spaces_and_tabs_separate_args(capsys):
+    code, out, _ = run(capsys, ["check", IDENTITY, "--args", " \t7 "])
+    assert (code, out) == (0, "@id: 1 variants agree\n")

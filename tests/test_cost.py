@@ -156,11 +156,19 @@ def test_load_cost_table():
         ("iadd = 1_0", r"^line 1: bad integer '1_0'$"),
         ("imul = 2\niadd = +3", r"^line 2: bad integer '\+3'$"),
         ("iadd = \u0661\u0660", "^line 1: bad integer '\u0661\u0660'$"),
+        # As between the IR's tokens, only spaces and tabs separate them.
+        ("iadd =\u00a05", r"^line 1: bad integer '\\xa05'$"),
+        ("iadd = 5\u3000", r"^line 1: bad integer '5\\u3000'$"),
+        ("imul = 2\n\u3000iadd = 5", r"^line 2: unknown opcode '\\u3000iadd'$"),
     ],
 )
 def test_load_cost_table_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         load_cost_table(text)
+
+
+def test_spaces_and_tabs_separate_cost_tokens():
+    assert load_cost_table("\t iadd\t=  5 \t").opcode_cost("iadd") == 5
 
 
 def test_load_cost_table_counts_lines_like_the_ir():

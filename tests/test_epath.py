@@ -24,8 +24,10 @@ from epathopt import (
     saturate,
     sort_by_cost,
     to_function,
+    validate,
 )
 from conftest import CORPUS_DIR, load_corpus
+from generators import irreducible_function, random_function
 from oracles import brute_closure
 
 RULES = rules_named(["licm", "constfold"])
@@ -309,7 +311,7 @@ def test_duplicate_output_is_never_built(monkeypatch, name):
 
     report = saturate(p, [recorded(rule) for rule in RULES])
     assert report.deduplicated > 0
-    # Every new digest is built once, by `verify`; nothing is printed.
+    # Every new digest is built once, by `EPath.insert`; nothing is printed.
     assert calls == {"_build_blocks": report.inserted}
     duplicates = [out for out in outputs if p.sequence(out.digest) is not out]
     assert len(duplicates) == report.deduplicated
@@ -317,6 +319,81 @@ def test_duplicate_output_is_never_built(monkeypatch, name):
     for s in p.variants():  # cached: reading blocks again builds nothing
         assert len(s.blocks) > 0
     assert calls == {"_build_blocks": report.inserted}
+
+
+def _undominated():
+    """v1 is defined on one arm of the diamond only, then used at the merge;
+    block ids differ from the canonical ones. The parser rejects it."""
+    return Function("f", (0,), 10, (
+        Block(10, (0,), (), BrIf(0, 20, (), 30, ())),
+        Block(20, (), (Instruction("iconst", 1, (), 1),), Jump(40, ())),
+        Block(30, (), (), Jump(40, ())),
+        Block(40, (), (), Ret((1,))),
+    ))
+
+
+UNTRUSTED = [
+    pytest.param(_undominated, ValueError, "b40: use of v1 not dominated", id="undominated"),
+    pytest.param(
+        lambda: irreducible_function(random.Random(3)), IrreducibleError, "irreducible",
+        id="irreducible",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, error, message", UNTRUSTED)
+def test_epath_refuses_an_unchecked_bad_seed(build, error, message):
+    s = from_function(build(), checked=False)
+    with pytest.raises(error, match=message):
+        EPath(s)
+    with pytest.raises(error, match=message):
+        new_epath(s)
+
+
+@pytest.mark.parametrize("build, error, message", UNTRUSTED)
+def test_insert_refuses_an_unchecked_bad_sequence_and_changes_nothing(build, error, message):
+    p = EPath(seed_of("sec2_loop.ir"))
+    saturate(p, RULES)
+    before = (len(p), p.digests(), p.edges)
+    s = from_function(build(), checked=False)
+    assert len(s.params) == len(p.sequence(p.seed).params)
+    with pytest.raises(error, match=message):
+        p.insert(s, RewriteEdge(p.seed, s.digest, "untrusted"))
+    assert (len(p), p.digests(), p.edges) == before
+    assert s.digest not in p
+
+
+def test_an_invalid_rule_output_fails_when_its_function_is_read():
+    # Named in the ids of the working copy the rule finished, not the
+    # canonical ones (its b40 is canonical b3).
+    out = from_function(_undominated(), checked=False)
+    for _ in range(2):  # a failed build is not kept
+        with pytest.raises(ValueError, match=r"invalid function @f: b40: use of v1 not dominated"):
+            out.function
+
+
+def _stored_is_checked(s):
+    assert "analyses" in vars(s)
+    assert validate(s.function) == []
+
+
+def test_every_stored_sequence_is_valid_and_analyzed():
+    # Sequences go in unchecked and through `insert` directly, with no check
+    # by the caller: the path itself must have checked each one it stores.
+    functions = list(load_corpus().values())
+    functions += [random_function(random.Random(seed)) for seed in range(200)]
+    for f in functions:
+        p = EPath(from_function(f, checked=False))
+        _stored_is_checked(p.sequence(p.seed))
+        work = [p.seed]
+        while work:
+            digest = work.pop()
+            seq = p.sequence(digest)
+            for rule in RULES:
+                for out in rule.apply(seq, analyze(seq)):
+                    if p.insert(out, RewriteEdge(digest, out.digest, rule.name)):
+                        _stored_is_checked(out)
+                        work.append(out.digest)
 
 
 def test_insert_raises_on_digest_collision():

@@ -115,3 +115,30 @@ def test_every_module_level_private_name_is_read_in_src():
                 if private and all(key in own for load, key in loads if load == name):
                     unread.append(f"{module}: {name}")
     assert not unread, unread
+
+
+def test_every_imported_name_is_read_where_it_is_imported():
+    # An import that its module never reads is dead, or a re-export kept for
+    # other modules; the one exception is a name the tracer wraps there,
+    # since wrapping it in that module is what counts its calls.
+    wrapped = {(module, attr) for module, attr, _span in _load_tracer().FUNCTION_WRAPS}
+    package = Path(cli.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 7
+    unread = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and (f"epathopt.{path.stem}", name) not in wrapped:
+                        unread.append(f"{path.name}: {name}")
+    assert not unread, unread
