@@ -34,6 +34,7 @@ class SaturationReport:
     deduplicated: int
     reached_fixed_point: bool
     rule_application_counts: dict[str, int] = field(default_factory=dict)
+    predicted: int = 0
 
 
 class EPath:
@@ -121,11 +122,14 @@ def saturate(
     independent of rule order. `rule_application_counts` counts produced
     rewrite results per rule, duplicates included.
 
-    Rule outputs are canonicalized without validation and carry only their
-    canonical text and digest; `EPath.insert` builds, validates and analyzes
-    only an output whose digest is new, so each distinct sequence is built,
-    validated and analyzed once. A duplicate is checked to have the text of
-    the stored one, and its blocks are never built.
+    Rule outputs are built lazily, when their digest is first read, and
+    `EPath.insert` builds, validates and analyzes only an output whose digest
+    is new. An output that a commuting square predicts is never built: if
+    `a = r1@x(s)` and `b = r2@y(s)` have disjoint footprints and `a`'s output
+    at `y` is `T`, then `b`'s output at `x` is `T`, a duplicate, and its edge
+    goes to the stored `T`. `predicted` counts those; `deduplicated` includes
+    them. Squares close over the previous iteration's edges, which are kept
+    for one iteration only. `insert` is called once per output either way.
 
     Rules are pure and sequences immutable, so applications over distinct
     sequences could run concurrently with `insert` as the only serialization
@@ -138,27 +142,73 @@ def saturate(
     stored = len(path)
     frontier = path.digests()
     counts = {rule.name: 0 for rule in rules}
-    deduplicated = iterations = 0
+    deduplicated = predicted = iterations = 0
+    into: dict[str, list] = {}  # target -> [(its source's outputs, site)]
 
     while frontier and iterations < max_iterations:
         iterations += 1
         new: list[str] = []
+        parents, into, predictions = into, {}, {}
+        pending = set(frontier)
         for digest in frontier:
+            pending.discard(digest)
             seq = path.sequence(digest)
+            outputs: dict[tuple, tuple] = {}  # site -> (target, block map, footprint)
             for rule in rules:
                 for out in rule.apply(seq, analyze(seq)):
                     counts[rule.name] += 1
-                    if out.digest not in path:
-                        if len(path) >= max_sequences:
+                    known = predictions.get((digest, out.site))
+                    if known:
+                        predicted += 1
+                        target, block_map = path.sequence(known[0]), known[1]
+                    else:
+                        if out.digest not in path and len(path) >= max_sequences:
                             return SaturationReport(
-                                iterations, len(path) - stored, deduplicated, False, counts
+                                iterations, len(path) - stored, deduplicated, False, counts,
+                                predicted,
                             )
-                    if path.insert(out, RewriteEdge(digest, out.digest, rule.name)):
-                        new.append(out.digest)
+                        target = out
+                    if path.insert(target, RewriteEdge(digest, target.digest, rule.name)):
+                        new.append(target.digest)
                     else:
                         deduplicated += 1
+                    if out.site is not None:
+                        if not known:
+                            block_map = tuple(map(out.block_map.get, range(len(seq))))
+                        outputs[out.site] = (target.digest, block_map, out.footprint)
+                        into.setdefault(target.digest, []).append((outputs, out.site))
+                        if digest in parents:
+                            _close_squares(
+                                path, parents[digest], pending, predictions,
+                                out.site, target.digest, block_map,
+                            )
         frontier = sorted(new)
 
     return SaturationReport(
-        iterations, len(path) - stored, deduplicated, not frontier, counts
+        iterations, len(path) - stored, deduplicated, not frontier, counts, predicted
     )
+
+
+def _close_squares(path, parents, pending, predictions, site, target, a_to_t) -> None:
+    """Predictions from the edge `a -r2@y'-> target`, `site` being `(r2, y')`:
+    for each edge `s -r1@x-> a` in `parents` and each output `b = r2@y(s)`
+    still `pending` whose footprint is disjoint from `x`'s, with `y` mapped to
+    `y'` in `a`, `b`'s output at `x` is `target`. A block map sends each
+    block of an edge's source to its id in the target, None if removed."""
+    rule, y_in_a = site
+    for siblings, x in parents:
+        _, s_to_a, x_footprint = siblings[x]
+        if y_in_a not in s_to_a:
+            continue
+        sibling = siblings.get((rule, s_to_a.index(y_in_a)))
+        if sibling is None or sibling[0] not in pending:
+            continue
+        b, s_to_b, y_footprint = sibling
+        key = (b, (x[0], s_to_b[x[1]]))
+        if key in predictions or key[1][1] is None or not x_footprint.isdisjoint(y_footprint):
+            continue
+        b_to_t = [None] * len(path.sequence(b))
+        for in_b, in_a in zip(s_to_b, s_to_a):
+            if in_b is not None and in_a is not None:
+                b_to_t[in_b] = a_to_t[in_a]
+        predictions[key] = (target, tuple(b_to_t))

@@ -7,17 +7,16 @@ sequences with equal digests, which is what makes hash-consing work.
 
 Canonicalization renders the canonical text straight from its source and
 digests that; the sequence's one `Function` is built only when first read,
-so a rule output that turns out to be a duplicate costs one rendering and a
-lookup. Building it is the one place a sequence is validated: its source is
-checked first, and `analyze` adds reducibility, so `EPath`, which analyzes
-what it stores, holds only valid, reducible sequences.
+and a rule output is edited and rendered only when its digest is. Building
+the function is the one place a sequence is validated, and `analyze` adds
+reducibility, so `EPath`, which analyzes what it stores, holds only valid,
+reducible sequences.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from .analysis import Analyses, IrreducibleError
@@ -37,17 +36,42 @@ from .ir import (
 DIGEST_BYTES = 8
 
 
-@dataclass(frozen=True)
+# What a rule output's `make` sets on its first read.
+_MADE = ("params", "text", "digest", "block_map", "_blocks")
+
+
 class ESequence:
-    """An immutable region; construct via `from_function` only.
+    """An immutable region, made by `from_function` or, lazily, by a rule.
 
     Equality and hashing go by `text`, the canonical printed form, which
-    encodes the structure one to one. `function` is built on first use."""
+    encodes the structure one to one. `function` is built on first use.
 
-    params: tuple[ValueId, ...] = field(compare=False)
-    text: str = field(repr=False)
-    digest: str = field(compare=False)
-    _build: Callable[[], tuple[Block, ...]] | None = field(compare=False, repr=False)
+    A rule output is `ESequence(make, site, footprint)`: `make`, the
+    unchecked `from_function` of the rule's edit, runs on the first read of
+    `params`, `text`, `digest` or `block_map` (each block's canonical id, by
+    the edit's block ids, which are its source's). `site` is `(rule name,
+    block)` and `footprint` the blocks the rewrite reads or writes, in the
+    source's ids; a sequence without a site is never predicted."""
+
+    def __init__(self, make: Callable[[], ESequence] | None, site=None, footprint=frozenset()):
+        self._make, self.site, self.footprint = make, site, footprint
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set yet: a rule output copies its
+        # canonical form from `make()` on the first read of any part of it.
+        make = self.__dict__.get("_make")
+        if make is None or name not in _MADE:
+            raise AttributeError(name)
+        made = make()
+        self.__dict__.update((k, made.__dict__[k]) for k in _MADE)
+        self._make = None
+        return self.__dict__[name]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ESequence) and self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -55,11 +79,11 @@ class ESequence:
     @cached_property
     def function(self) -> Function:
         """The sequence as the function `s`, built on first use and kept:
-        analyses, costs and the rules all read this one object. Not a field:
-        equality and hashing ignore it. Raises ValueError listing the
-        violations of an invalid source, which stays unbuilt."""
-        f = Function("s", self.params, 0, self._build())
-        object.__setattr__(self, "_build", None)  # release the source
+        analyses, costs and the rules all read this one object. Raises
+        ValueError listing the violations of an invalid source, which stays
+        unbuilt."""
+        f = Function("s", self.params, 0, self._blocks())
+        self._blocks = None  # release the source
         return f
 
     @property
@@ -139,7 +163,10 @@ def _canonicalize(f: Function) -> ESequence:
     if text is None or len(rpo) != len(f.blocks):
         _require_valid(f)
         raise ValueError(f"invalid function @{f.name}: cannot canonicalize")
-    return ESequence(params, text, _digest(text), lambda: _build_blocks(f, block_map, value_map))
+    s = ESequence(None)
+    s.params, s.text, s.digest, s.block_map = params, text, _digest(text), block_map
+    s._blocks = partial(_build_blocks, f, block_map, value_map)
+    return s
 
 
 def _build_blocks(

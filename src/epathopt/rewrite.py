@@ -1,11 +1,10 @@
 """Rewrite rules over canonical sequences.
 
 A rule is a pure function from one sequence to zero or more new, semantically
-equivalent sequences; it never mutates its input. Rules edit a copy-on-write
-overlay of the sequence's function and hand the `Function` it finishes to
-`from_function`, which renders and digests it without validating it or
-building its blocks; `EPath.insert` checks each new digest.
-Shipped rules:
+equivalent sequences; it never mutates its input. Each output carries its
+site and footprint and is built on first read: the rule edits a copy-on-write
+overlay of the sequence's function, and `from_function` renders and digests
+the `Function` it finishes; `EPath.insert` checks each new digest. Rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
 * ``constfold``: fold binary operations over two constants. It is a table
@@ -19,6 +18,7 @@ Shipped rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .analysis import Analyses, InstrDef, InstrUse, LoopRegion
@@ -122,39 +122,39 @@ def match_expression(pat: ExprPattern, s: ESequence) -> list[dict[str, int]]:
 def _match_patterns(
     patterns: tuple[ExprPattern, ...], analyses: Analyses
 ) -> list[list[dict[str, int]]]:
-    """`match_expression` of each pattern over `analyses.function`, in one
-    scan of its blocks: an instruction is tried against the patterns rooted
-    at its opcode, and an operand is followed to its defining instruction
-    through `analyses.def_use`."""
-    by_root: dict[str, list[int]] = {}
-    for i, pat in enumerate(patterns):
-        by_root.setdefault(pat.tree.opcode, []).append(i)
+    """`match_expression` of each pattern over the function of a sequence's
+    `analyses`, in one scan of its blocks, which are in reverse postorder: an
+    instruction is tried against the patterns rooted at its opcode, and an
+    operand is followed to its defining instruction, which dominates it and
+    so was scanned before it."""
+    by_root: dict[str, list[tuple[ExprPattern, list]]] = {}
     found: list[list[dict[str, int]]] = [[] for _ in patterns]
+    for pat, matches in zip(patterns, found):
+        by_root.setdefault(pat.tree.opcode, []).append((pat, matches))
+    defining: dict[ValueId, Instruction] = {}
     for b in analyses.function.blocks:
         for instr in b.instructions:
-            for i in by_root.get(instr.opcode, ()):
-                bindings = {}
-                if _match_node(patterns[i].tree, instr, analyses, bindings):
-                    bindings[patterns[i].root] = instr.result
-                    found[i].append(bindings)
+            defining[instr.result] = instr
+            for pat, matches in by_root.get(instr.opcode, ()):
+                bindings = [(pat.root, instr.result)]
+                if _match_node(pat.tree, instr, defining, bindings):
+                    matches.append(dict(bindings))
     return found
 
 
-def _match_node(p: PatOp, instr: Instruction, analyses: Analyses, bindings) -> bool:
-    if instr.opcode != p.opcode:
+def _match_node(p: PatOp, instr: Instruction, defining: dict, bindings: list) -> bool:
+    """Whether `instr`, which has `p`'s opcode, matches `p`; an operand's
+    defining instruction is checked for its opcode before the walk goes in."""
+    if isinstance(p.imm, str):
+        bindings.append((p.imm, instr.imm))
+    elif p.imm is not None and instr.imm != p.imm:
         return False
-    if p.opcode == "iconst" and p.imm is not None:
-        if isinstance(p.imm, str):
-            bindings[p.imm] = instr.imm
-        elif instr.imm != p.imm:
-            return False
     for sub, operand in zip(p.operands, instr.operands):
-        if isinstance(sub, PatVar):
-            bindings[sub.name] = operand
+        if type(sub) is PatVar:
+            bindings.append((sub.name, operand))
             continue
-        site = analyses.def_use[operand][0]  # a block parameter defines no instruction
-        defining = isinstance(site, InstrDef) and analyses.function.block(site.block).instruction
-        if not defining or not _match_node(sub, defining, analyses, bindings):
+        d = defining.get(operand)  # a block parameter defines no instruction
+        if d is None or d.opcode != sub.opcode or not _match_node(sub, d, defining, bindings):
             return False
     return True
 
@@ -312,6 +312,14 @@ def _targets(term: Terminator) -> set[BlockId]:
     return {t for t, _ in terminator_targets(term)}
 
 
+def _output(site: tuple[str, BlockId], footprint, edit: Callable[[], _Editor]) -> ESequence:
+    """A rule output at `site` that is edited by `edit` and canonicalized on
+    the first read of its digest or text."""
+    return ESequence(
+        lambda: from_function(edit().finish(), checked=False), site, frozenset(footprint)
+    )
+
+
 # ---------------------------------------------------------------------------
 # LICM
 
@@ -321,14 +329,17 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
 
     All invariant instructions of a loop move together, in dependency order,
     into a preheader chain placed on the loop-entry path; the loop keeps only
-    its loop-dependent blocks. Returns [] when nothing is hoistable.
-    """
+    its loop-dependent blocks. Returns [] when nothing is hoistable. The
+    site is the loop's header, the footprint its body and the header's
+    predecessors."""
     analyses = analyses or analyze(s)
     out = []
     for loop in analyses.loops:
         split = classify_invariance(loop, s, analyses)
         if split.invariant_blocks:
-            out.append(from_function(_hoist(analyses, loop, split).finish(), checked=False))
+            footprint = loop.body.union(analyses.preds[loop.header])
+            edit = partial(_hoist, analyses, loop, split)
+            out.append(_output(("licm", loop.header), footprint, edit))
     return out
 
 
@@ -387,28 +398,39 @@ _CONSTFOLD = tuple(
 
 def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESequence]:
     """One variant per match of a `_CONSTFOLD` pattern `op(iconst a, iconst b)`,
-    ordered by pattern, then by block: the matched block becomes `iconst
-    fold_constants(op, a, b)`, and dead constant feeders are straightened out
-    of the block chain."""
+    ordered by pattern, then by block: the matched block, the site, becomes
+    `iconst fold_constants(op, a, b)`, and dead constant feeders are
+    straightened out of the block chain."""
     analyses = analyses or analyze(s)
     found = _match_patterns(_CONSTFOLD, analyses)
-    return [_fold_at(analyses, p.tree.opcode, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
+    return [_fold(analyses, p.tree.opcode, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
 
 
-def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
-    ed = _Editor(analyses.function)
-    root_bid = analyses.def_use[m["root"]][0].block
-    old = ed.blocks[root_bid].instruction
-    folded = fold_constants(opcode, m["a"], m["b"])
-    ed.set_instruction(root_bid, Instruction("iconst", old.result, (), folded))
-
-    # A feeder read only by the folded instruction is now dead. Splicing one
-    # feeder's block out leaves the other feeder's uses as they were.
-    for feeder in dict.fromkeys(old.operands):
+def _fold(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
+    """The output that folds `m`; a feeder read only by the folded
+    instruction is dead, and its block is spliced out. The footprint holds
+    the root, each feeder's definition and uses, and each spliced block's
+    predecessors and targets."""
+    root = analyses.def_use[m["root"]][0].block
+    footprint = {root}
+    dead = []
+    for feeder in dict.fromkeys(analyses.function.block(root).instruction.operands):
         site, uses = analyses.def_use[feeder]
-        if all(isinstance(u, InstrUse) and u.block == root_bid for u in uses):
-            ed.try_splice(site.block)
-    return from_function(ed.finish(), checked=False)
+        footprint.update(u.block for u in (site, *uses))
+        if all(isinstance(u, InstrUse) and u.block == root for u in uses):
+            dead.append(site.block)
+            footprint.update(analyses.preds[site.block])
+            footprint.update(_targets(analyses.function.block(site.block).terminator))
+    folded = Instruction("iconst", m["root"], (), fold_constants(opcode, m["a"], m["b"]))
+    return _output(("constfold", root), footprint, partial(_fold_at, analyses, root, folded, dead))
+
+
+def _fold_at(analyses: Analyses, root: BlockId, folded: Instruction, dead: list) -> _Editor:
+    ed = _Editor(analyses.function)
+    ed.set_instruction(root, folded)
+    for bid in dead:
+        ed.try_splice(bid)
+    return ed
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +439,8 @@ def _fold_at(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
 
 def apply_broken(s: ESequence, analyses: Analyses | None = None) -> list[ESequence]:
     """Unsound on purpose: bumps the first constant it finds. Exists so the
-    differential checker has something to catch."""
+    differential checker has something to catch. Which constant is first
+    depends on every block before it, so the output has no site."""
     for b in s.blocks:
         instr = b.instruction
         if instr and instr.opcode == "iconst":

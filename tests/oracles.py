@@ -4,17 +4,24 @@ Each reimplements a property from first principles (graph disconnection,
 exhaustive enumeration) rather than reusing the library's algorithms.
 """
 
+import dataclasses
 import itertools
+import math
 
 from epathopt import (
+    EPath,
     FuelExhausted,
     Jump,
     PatOp,
     PatVar,
     Ret,
     Returned,
+    RewriteEdge,
+    RewriteRule,
+    SaturationReport,
     analyze,
     dominators,
+    saturate,
     terminator_targets,
     terminator_values,
     wrap64,
@@ -128,6 +135,93 @@ def brute_closure(seed, rules):
                         seen[out.digest] = out
                         changed = True
     return set(seen)
+
+
+def flat_saturate(path, rules, *, max_iterations=64, max_sequences=100_000):
+    """`saturate` without commuting squares: every rule output is built and
+    looked up by its digest. The same frontier walk, so the same insert calls
+    in the same order, and a report with `predicted == 0`."""
+    if max_iterations <= 0 or max_sequences <= 0:
+        raise ValueError("limits must be positive")
+
+    stored = len(path)
+    frontier = path.digests()
+    counts = {rule.name: 0 for rule in rules}
+    deduplicated = iterations = 0
+
+    while frontier and iterations < max_iterations:
+        iterations += 1
+        new = []
+        for digest in frontier:
+            seq = path.sequence(digest)
+            for rule in rules:
+                for out in rule.apply(seq, analyze(seq)):
+                    counts[rule.name] += 1
+                    if out.digest not in path:
+                        if len(path) >= max_sequences:
+                            return SaturationReport(
+                                iterations, len(path) - stored, deduplicated, False, counts
+                            )
+                    if path.insert(out, RewriteEdge(digest, out.digest, rule.name)):
+                        new.append(out.digest)
+                    else:
+                        deduplicated += 1
+        frontier = sorted(new)
+
+    return SaturationReport(iterations, len(path) - stored, deduplicated, not frontier, counts)
+
+
+class RecordingEPath(EPath):
+    """An `EPath` that lists its insert calls as `(source, target, rule)`."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def insert(self, s, edge):
+        self.calls.append((edge.source, edge.target, edge.rule_name))
+        return super().insert(s, edge)
+
+
+def audit_saturation(seed, rules, **limits):
+    """The ways `saturate` departs from `flat_saturate` on `seed`; empty when
+    they agree. The insert calls, in order, the variants, the edges and every
+    report field but `predicted` must be equal, and every output `saturate`
+    did not build is built here: its digest must be the target it was
+    inserted under. Returns `(problems, report)`."""
+    flat = RecordingEPath(seed)
+    expected = flat_saturate(flat, rules, **limits)
+
+    outputs = []
+
+    def recorded(rule):
+        def apply(s, analyses):
+            out = rule.apply(s, analyses)
+            outputs.extend(out)
+            return out
+
+        return RewriteRule(rule.name, apply)
+
+    path = RecordingEPath(seed)
+    report = saturate(path, [recorded(rule) for rule in rules], **limits)
+    problems = []
+    if dataclasses.replace(report, predicted=0) != expected:
+        problems.append(f"report {report} != {expected}")
+    if path.calls != flat.calls:
+        problems.append("insert calls differ")
+    if path.digests() != flat.digests() or path.edges != flat.edges:
+        problems.append("variants or edges differ")
+    for out, (source, target, rule) in zip(outputs, path.calls):
+        if out.digest != target:
+            problems.append(f"{rule} output of {source} is {out.digest}, not {target}")
+    # Stopping at `max_sequences` may leave the last output counted but not
+    # inserted.
+    counted = sum(report.rule_application_counts.values())
+    capped = not report.reached_fixed_point and len(path) >= limits.get("max_sequences", math.inf)
+    uninserted = counted - len(path.calls)
+    if len(path.calls) != report.inserted + report.deduplicated or uninserted not in (0, capped):
+        problems.append(f"{counted} outputs, {len(path.calls)} insert calls, {report}")
+    return problems, report
 
 
 def fixpoint_invariance(loop, f):

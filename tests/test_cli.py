@@ -8,16 +8,21 @@ from pathlib import Path
 import pytest
 
 from epathopt import (
+    FuelExhausted,
     IrreducibleError,
+    analyze,
     find_back_edges,
+    from_function,
+    interpret,
     parse_file,
     parse_function,
     print_function,
     validate,
 )
 from epathopt.cli import main
+from epathopt.rewrite import apply_broken
 from conftest import CORPUS_DIR, golden
-from generators import irreducible_function
+from generators import irreducible_function, random_function
 
 SEC2 = str(CORPUS_DIR / "sec2_loop.ir")
 BOUNDED = str(CORPUS_DIR / "sec2_loop_bounded.ir")
@@ -237,6 +242,50 @@ def test_check_exhausted_runs_do_not_hide_a_mismatch(capsys):
     assert out.startswith("mismatch in @count:")
     assert "FuelExhausted" not in out
     assert "warning: @count: saturation stopped" in err
+
+
+def test_check_at_small_fuel_never_reports_a_false_mismatch(capsys, tmp_path):
+    # At fuel 1-20 many variants run out; that is inconclusive, and the runs
+    # that finish agree, since every rule is sound.
+    rng = random.Random(0xF0E1)
+    path = tmp_path / "f.ir"
+    exhausted = 0
+    for seed in range(200):
+        f = random_function(random.Random(seed))
+        path.write_text(print_function(f))
+        fuel = rng.randint(1, 20)
+        args = ",".join(str(rng.randrange(-5, 6)) for _ in f.params)
+        argv = ["check", str(path), f"--args={args}", "--fuel", str(fuel)]
+        code, out, err = run(capsys, [*argv, "--rules", "licm,constfold"])
+        assert code == 0 and re.fullmatch(r"@fuzz: \d+ variants agree\n", out), (seed, fuel, out)
+        if err:
+            note = r"epath-opt: note: @fuzz: \d+ of \d+ variants ran out of fuel \(inconclusive\)\n"
+            assert re.fullmatch(note, err), (seed, fuel, err)
+            exhausted += 1
+    assert exhausted > 20
+
+
+def test_check_catches_broken_on_random_functions(capsys, tmp_path):
+    # Whenever `broken`'s output of the seed computes something else on the
+    # check arguments, `check` reports the mismatch.
+    rng = random.Random(0xB0C)
+    path = tmp_path / "f.ir"
+    caught = 0
+    for seed in range(300):
+        f = random_function(random.Random(seed))
+        s = from_function(f)
+        args = [rng.randrange(-5, 6) for _ in f.params]
+        for bumped in apply_broken(s, analyze(s)):
+            results = [interpret(x.function, args, 1000) for x in (s, bumped)]
+            if any(isinstance(r, FuelExhausted) for r in results) or results[0] == results[1]:
+                continue
+            path.write_text(print_function(f))
+            argv = ["check", str(path), "--args=" + ",".join(map(str, args)), "--fuel", "1000",
+                    "--rules", "licm,constfold,broken"]
+            code, out, _ = run(capsys, argv)
+            assert code == 1 and out.startswith("mismatch in @fuzz:"), (seed, out)
+            caught += 1
+    assert caught >= 5
 
 
 def test_opt_warns_when_saturation_is_truncated(capsys):

@@ -1,5 +1,7 @@
-import dataclasses
 import random
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from epathopt import (
     Block,
     BrIf,
     EPath,
+    ESequence,
     Function,
     Instruction,
     IrreducibleError,
@@ -26,9 +29,9 @@ from epathopt import (
     to_function,
     validate,
 )
-from conftest import CORPUS_DIR, load_corpus
+from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus
 from generators import irreducible_function, random_function
-from oracles import brute_closure
+from oracles import audit_saturation, brute_closure
 
 RULES = rules_named(["licm", "constfold"])
 
@@ -396,12 +399,18 @@ def test_every_stored_sequence_is_valid_and_analyzed():
                         work.append(out.digest)
 
 
-def test_insert_raises_on_digest_collision():
+def test_insert_raises_on_digest_collision(monkeypatch):
+    import epathopt.esequence as esequence
+
+    # With one-byte digests, one of these one-constant functions shares the
+    # seed's digest but not its text.
+    monkeypatch.setattr(esequence, "DIGEST_BYTES", 1)
     a = seed_of("sec2_loop.ir")
-    b = seed_of("loop_single_inv.ir")
-    assert a != b and len(a.params) == len(b.params)
+    constants = (f"func @f(v0) {{\nb0(v0):\n  v1 = iconst {k}\n  ret v1\n}}" for k in range(1000))
+    candidates = (from_function(parse_function(text)) for text in constants)
+    forged = next(b for b in candidates if b.digest == a.digest)
+    assert a != forged and len(a.params) == len(forged.params)
     p = EPath(a)
-    forged = dataclasses.replace(b, digest=a.digest)
     with pytest.raises(RuntimeError, match="digest collision"):
         p.insert(forged, RewriteEdge(a.digest, a.digest, "forged"))
     assert p.variants() == [a]
@@ -432,3 +441,132 @@ def test_saturate_raises_on_digest_collision(monkeypatch):
     monkeypatch.setattr(esequence, "DIGEST_BYTES", 1)
     with pytest.raises(RuntimeError, match="digest collision"):
         saturate(EPath(from_function(f)), RULES)
+
+
+# ---------------------------------------------------------------------------
+# Commuting squares: `saturate` against the flat oracle
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch) -> types.ModuleType:
+    """The benchmark's input generators, executed from source so nothing is
+    written next to them."""
+    module = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclass
+    exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), module.__dict__)
+    return module
+
+
+def _golden_functions():
+    """The goldens that hold one function's text."""
+    out = []
+    for path in sorted(GOLDEN_DIR.glob("*.txt")):
+        text = path.read_text()
+        if text.startswith("func "):
+            out.append(parse_function(text))
+    return out
+
+
+def test_saturate_equals_the_flat_oracle():
+    functions = list(load_corpus().values()) + _golden_functions()
+    functions += [random_function(random.Random(seed)) for seed in range(200)]
+    assert len(functions) >= 225
+    predicted = 0
+    for f in functions:
+        for rules in (RULES, rules_named(["constfold", "licm"])):
+            for limits in ({}, {"max_iterations": 2}, {"max_sequences": 5}):
+                problems, report = audit_saturation(from_function(f), rules, **limits)
+                assert problems == [], (f.name, limits, problems)
+                predicted += report.predicted
+    assert predicted > 0
+
+
+@pytest.mark.parametrize("workload", ["folds", "loops", "fuzz"])
+def test_saturate_equals_the_flat_oracle_on_the_benchmark_inputs(perfbench_workloads, workload):
+    for seed in (1, 2):
+        cases = perfbench_workloads.generate(workload, seed)
+        for case in cases:
+            problems, report = audit_saturation(from_function(parse_function(case.text)), RULES)
+            assert problems == [], (workload, seed, case.name, problems)
+            if workload != "fuzz":
+                # Every duplicate has a commuting square that predicts it.
+                assert report.predicted == report.deduplicated > 0
+
+
+def _block_count_rule(footprint):
+    """Sets each constant to the function's block count; `footprint(f, b)` is
+    the footprint it declares for block `b` of `f`."""
+
+    def apply(s, analyses):
+        f = s.function
+        out = []
+        for b in f.blocks:
+            if b.instruction and b.instruction.opcode == "iconst":
+                counted = Instruction("iconst", b.instruction.result, (), len(f.blocks))
+                blocks = tuple(
+                    Block(x.id, x.params, (counted,), x.terminator) if x is b else x
+                    for x in f.blocks
+                )
+                edited = Function("s", f.params, f.entry, blocks)
+                make = lambda edited=edited: from_function(edited, checked=False)  # noqa: E731
+                out.append(ESequence(make, ("count", b.id), frozenset(footprint(f, b))))
+        return out
+
+    return RewriteRule("count", apply)
+
+
+def test_a_footprint_that_leaves_out_a_read_block_fails_the_audit():
+    # Declaring only the constant's own block leaves out every block the
+    # count reads; a fold elsewhere removes blocks, so the prediction is wrong.
+    seed = from_function(_fold_chain(2))
+    leaky = _block_count_rule(lambda f, b: {b.id})
+    problems, report = audit_saturation(seed, [leaky, *RULES])
+    assert report.predicted > 0
+    assert any("output of" in p for p in problems), problems
+
+    # Declared honestly, the same rewrite takes part in no square.
+    honest = _block_count_rule(lambda f, b: {x.id for x in f.blocks})
+    problems, _ = audit_saturation(seed, [honest, *RULES])
+    assert problems == []
+
+
+def test_outputs_without_a_site_are_never_predicted():
+    f = _fold_chain(3)
+    untracked = [
+        RewriteRule(rule.name, lambda s, a, rule=rule: [
+            from_function(out.function, checked=False) for out in rule.apply(s, a)
+        ])
+        for rule in RULES
+    ]
+    problems, report = audit_saturation(from_function(f), untracked)
+    assert problems == []
+    assert report.predicted == 0 and report.deduplicated > 0
+    assert from_function(f).site is None
+
+
+def test_disjoint_footprints_meet_at_one_target(corpus, perfbench_workloads):
+    # Two outputs of one sequence with disjoint footprints commute: the
+    # saturated path has an edge from each to one common target.
+    functions = list(corpus.values()) + [random_function(random.Random(s)) for s in range(200)]
+    functions += [_fold_chain(4)] + [
+        parse_function(perfbench_workloads.generate(workload, 1)[0].text)
+        for workload in ("folds", "loops")
+    ]
+    squares = 0
+    for f in functions:
+        p = EPath(from_function(f))
+        saturate(p, RULES)
+        targets = {}
+        for e in p.edges:
+            targets.setdefault(e.source, set()).add(e.target)
+        for s in p.variants():
+            outs = [out for rule in RULES for out in rule.apply(s, analyze(s))]
+            for i, a in enumerate(outs):
+                for b in outs[i + 1:]:
+                    if a.footprint.isdisjoint(b.footprint) and a.digest != b.digest:
+                        squares += 1
+                        assert targets[a.digest] & targets[b.digest], (f.name, a.site, b.site)
+    assert squares > 100

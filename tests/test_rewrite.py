@@ -27,7 +27,7 @@ from epathopt import (
     rules_named,
     to_function,
 )
-from epathopt.ir import predecessors
+from epathopt.ir import predecessors, render_block
 from epathopt.rewrite import _CONSTFOLD, _Editor, _hoist, _match_patterns, apply_broken
 from conftest import argument_vectors, assert_all_equivalent, closure, golden, load_corpus
 from generators import random_function
@@ -507,3 +507,81 @@ def test_match_patterns_equal_brute_matches_per_pattern():
                     counts[i] += len(matches)
     assert sum(found[_CONSTFOLD]) >= 100, found
     assert min(found[SHARED_ROOTS]) >= 30, found
+
+
+# ---------------------------------------------------------------------------
+# Sites and footprints
+
+
+def _edited_functions(monkeypatch):
+    """Every function a rule's working copy finishes, in the order the
+    outputs are built."""
+    import epathopt.rewrite as rewrite
+
+    edited = []
+    original = rewrite.from_function
+
+    def recorded(f, **kwargs):
+        edited.append(f)
+        return original(f, **kwargs)
+
+    monkeypatch.setattr(rewrite, "from_function", recorded)
+    return edited
+
+
+def test_outputs_are_built_on_first_read(monkeypatch):
+    edited = _edited_functions(monkeypatch)
+    s = from_function(load_corpus()["diamond_consts.ir"])
+    outs = apply_const_fold(s, analyze(s))
+    assert len(outs) == 2 and edited == []
+    digest = outs[1].digest
+    assert len(edited) == 1
+    assert outs[1].text and outs[1].digest == digest and len(edited) == 1
+    assert outs[0].text and len(edited) == 2
+
+
+def test_output_sites_name_the_rewritten_block(corpus):
+    for f in corpus.values():
+        for s in closure(f):
+            analyses = analyze(s)
+            hoisting = [
+                loop for loop in analyses.loops
+                if classify_invariance(loop, s, analyses).invariant_blocks
+            ]
+            assert [out.site for out in apply_licm(s, analyses)] == [
+                ("licm", loop.header) for loop in hoisting
+            ]
+            sites = [out.site for out in apply_const_fold(s, analyses)]
+            roots = [
+                analyses.def_use[m["root"]][0].block
+                for ms in _match_patterns(_CONSTFOLD, analyses)
+                for m in ms
+            ]
+            assert sites == [("constfold", root) for root in roots]
+            assert all(out.site is None for out in apply_broken(s, analyses))
+
+
+def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch):
+    # Compared in the working copy, which keeps the source's block and value
+    # ids: a source block that is gone, or renders differently, was written,
+    # and each such block must lie in the footprint.
+    functions = list(load_corpus().values())
+    functions += [random_function(random.Random(seed)) for seed in range(200)]
+    sequences = [s for f in functions for s in closure(f)]
+    edited = _edited_functions(monkeypatch)
+    changed = 0
+    for s in sequences:
+        source = s.function
+        for rule in rules_named(["licm", "constfold"]):
+            for out in rule.apply(s, analyze(s)):
+                edited.clear()
+                out.digest
+                (working,) = edited
+                assert out.site[1] in out.footprint
+                for b in source.blocks:
+                    if not working.has_block(b.id) or (
+                        render_block(working.block(b.id)) != render_block(b)
+                    ):
+                        changed += 1
+                        assert b.id in out.footprint, (out.site, b.id, sorted(out.footprint))
+    assert changed > 50

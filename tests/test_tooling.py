@@ -7,7 +7,7 @@ import importlib
 import types
 from pathlib import Path
 
-from epathopt import cli, rewrite
+from epathopt import cli, from_function, rewrite, saturate
 from epathopt.analysis import Analyses
 from epathopt.epath import EPath
 from conftest import CORPUS_DIR
@@ -57,7 +57,12 @@ def test_tracer_installs_counts_and_restores(capsys):
     assert t.counts["epath.insert.calls"] == (
         t.counts["epath.insert.new"] + t.counts["epath.insert.dup"]
     ) > 0
-    assert t.counts["esequence.from_function.calls"] > t.counts["ir.validate.calls"] > 0
+    # The parsed function and each new output are built and validated once;
+    # the one duplicate is predicted by a commuting square and never built.
+    assert t.counts["epath.insert.dup"] == 1
+    assert t.counts["esequence.from_function.calls"] == t.counts["ir.validate.calls"] == (
+        1 + t.counts["epath.insert.new"]
+    ) > 1
     assert t.counts["analysis.dominators.calls"] == t.counts["analysis.compute.calls"] > 0
     for (module_name, attr), original in before.items():
         assert importlib.import_module(module_name).__dict__[attr] is original
@@ -142,3 +147,32 @@ def test_every_imported_name_is_read_where_it_is_imported():
                     if name not in read and (f"epathopt.{path.stem}", name) not in wrapped:
                         unread.append(f"{path.name}: {name}")
     assert not unread, unread
+
+
+def test_tracer_style_wrapping_keeps_the_squares(monkeypatch, corpus):
+    # The tracer wraps each rule as `RewriteRule(name, wrapper)`, and the
+    # wrapper returns `rule.apply`'s own list: the outputs' sites and
+    # footprints reach `saturate` unchanged, so as many outputs are built.
+    built = []
+    original = rewrite.from_function
+
+    def counted(f, **kwargs):
+        built.append(f)
+        return original(f, **kwargs)
+
+    monkeypatch.setattr(rewrite, "from_function", counted)
+    plain = rewrite.rules_named(["licm", "constfold"])
+    wrapped = [rewrite.RewriteRule(r.name, lambda s, a, r=r: r.apply(s, a)) for r in plain]
+    predicted = 0
+    for name, f in corpus.items():
+        runs = []
+        for rules in (plain, wrapped):
+            built.clear()
+            path = EPath(from_function(f))
+            report = saturate(path, rules)
+            runs.append((path.digests(), path.edges, report, len(built)))
+        assert runs[0] == runs[1], name
+        outputs = sum(report.rule_application_counts.values())
+        assert report.inserted + report.deduplicated == outputs, name
+        predicted += report.predicted
+    assert predicted > 0
