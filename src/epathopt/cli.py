@@ -9,7 +9,11 @@
 the file. `check` interprets every saturated variant on the given arguments
 and fails if two runs that finished disagree; a run that exhausts its fuel is
 inconclusive and is counted on stderr. Both warn on stderr when saturation
-stops at a limit before reaching a fixed point.
+stops at a limit before reaching a fixed point; `check` always saturates
+with the fixed limits of 64 iterations and 100 000 sequences. The unsound
+`broken` rule adds a new constant on every pass, so `check --rules ...,broken`
+on a function with a constant runs to the iteration cap: with `constfold`
+it stores 89569 variants of `tests/corpus/diamond_consts.ir`.
 
 Exit codes: 0 success, 1 parse/validate error (or check mismatch), 2
 irreducible control flow or usage errors. A reader that closes stdout early

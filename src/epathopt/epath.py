@@ -5,9 +5,9 @@ Sequences are keyed by structural digest and are never removed or mutated;
 every rewrite only ever grows the set. Insertion deduplicates by digest and
 confirms by comparing canonical texts, which encode the structure one to
 one, so hash consing cannot silently conflate distinct sequences. The set
-analyzes every sequence before it stores it, which builds and validates the
-sequence and checks its reducibility, so it holds only valid, reducible SSA
-whatever its callers pass in.
+analyzes every sequence before it stores it, which validates the sequence
+and checks its reducibility, so it holds only valid, reducible SSA whatever
+its callers pass in.
 """
 
 from __future__ import annotations
@@ -122,14 +122,15 @@ def saturate(
     independent of rule order. `rule_application_counts` counts produced
     rewrite results per rule, duplicates included.
 
-    Rule outputs are built lazily, when their digest is first read, and
-    `EPath.insert` builds, validates and analyzes only an output whose digest
-    is new. An output that a commuting square predicts is never built: if
-    `a = r1@x(s)` and `b = r2@y(s)` have disjoint footprints and `a`'s output
-    at `y` is `T`, then `b`'s output at `x` is `T`, a duplicate, and its edge
-    goes to the stored `T`. `predicted` counts those; `deduplicated` includes
-    them. Squares close over the previous iteration's edges, which are kept
-    for one iteration only. `insert` is called once per output either way.
+    Rule outputs are edited and canonicalized lazily, when their digest is
+    first read, and `EPath.insert` validates and analyzes only an output
+    whose digest is new. An output that a commuting square predicts is never
+    made: if `a = r1@x(s)` and `b = r2@y(s)` have disjoint footprints and
+    `a`'s output at `y` is `T`, then `b`'s output at `x` is `T`, a duplicate,
+    and its edge goes to the stored `T`. `predicted` counts those;
+    `deduplicated` includes them. Squares close over the previous iteration's
+    edges, which are kept for one iteration only. `insert` is called once per
+    output either way.
 
     Rules are pure and sequences immutable, so applications over distinct
     sequences could run concurrently with `insert` as the only serialization

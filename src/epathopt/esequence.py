@@ -5,24 +5,24 @@ are stored in canonical reverse postorder with densely renumbered block and
 value ids. Two functions that differ only in naming canonicalize to equal
 sequences with equal digests, which is what makes hash-consing work.
 
-Canonicalization renders the canonical text straight from its source and
-digests that; the sequence's one `Function` is built only when first read,
-and a rule output is edited and rendered only when its digest is. Building
-the function is the one place a sequence is validated, and `analyze` adds
-reducibility, so `EPath`, which analyzes what it stores, holds only valid,
-reducible sequences.
+Canonicalization renames its source's blocks once, prints the canonical text
+from those blocks and digests it; a rule output is edited and canonicalized
+only when its digest is first read. The sequence's one `Function` wraps the
+canonical blocks when first read, after its source is validated: that is the
+one place a sequence is validated, and `analyze` adds reducibility, so
+`EPath`, which analyzes what it stores, holds only valid, reducible
+sequences.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 from .analysis import Analyses, IrreducibleError
 from .ir import (
     Block,
-    BlockId,
     Function,
     ValueId,
     print_function,
@@ -37,14 +37,14 @@ DIGEST_BYTES = 8
 
 
 # What a rule output's `make` sets on its first read.
-_MADE = ("params", "text", "digest", "block_map", "_blocks")
+_MADE = ("params", "text", "digest", "block_map", "_source", "_blocks")
 
 
 class ESequence:
     """An immutable region, made by `from_function` or, lazily, by a rule.
 
     Equality and hashing go by `text`, the canonical printed form, which
-    encodes the structure one to one. `function` is built on first use.
+    encodes the structure one to one. `function` is checked on first use.
 
     A rule output is `ESequence(make, site, footprint)`: `make`, the
     unchecked `from_function` of the rule's edit, runs on the first read of
@@ -78,12 +78,13 @@ class ESequence:
 
     @cached_property
     def function(self) -> Function:
-        """The sequence as the function `s`, built on first use and kept:
-        analyses, costs and the rules all read this one object. Raises
-        ValueError listing the violations of an invalid source, which stays
-        unbuilt."""
-        f = Function("s", self.params, 0, self._blocks())
-        self._blocks = None  # release the source
+        """The sequence as the function `s`: on first use the source is
+        validated and the canonical blocks are wrapped and kept; analyses,
+        costs and the rules all read this one object. Raises ValueError
+        listing the violations of an invalid source, and keeps nothing."""
+        _require_valid(self._source)
+        f = Function("s", self.params, 0, self._blocks)
+        self._source = self._blocks = None  # release the source
         return f
 
     @property
@@ -105,17 +106,18 @@ def from_function(f: Function, *, checked: bool = True) -> ESequence:
     are renumbered in definition order (entry params first, then each
     block's params and instruction result).
 
-    The sequence's function is built from `f`'s blocks on first use, and
-    `f` is validated then; rules pass the `Function` their working copy
-    finishes, which shares the source's unchanged blocks. A checked
-    `Function` keeps its verdict, so one the parser has checked is not
-    checked again.
+    The canonical blocks are built with the digest, and `f` is validated
+    when the sequence's function is first read; rules pass the `Function`
+    their working copy finishes, which shares the source's unchanged blocks.
+    A checked `Function` keeps its verdict, so one the parser has checked is
+    not checked again.
 
-    With `checked`, the sequence is built and analyzed at once: ValueError
-    lists the violations of an invalid function, and IrreducibleError names
-    an edge in `f`'s own block ids. Rules pass `checked=False`: the result
-    then only has a digest and its text, and is checked when `EPath` stores
-    it; a duplicate has the text of a stored sequence and is never built.
+    With `checked`, the sequence is validated and analyzed at once:
+    ValueError lists the violations of an invalid function, and
+    IrreducibleError names an edge in `f`'s own block ids. Rules pass
+    `checked=False`: the result is then checked when `EPath` stores it; a
+    duplicate has the text of a stored sequence and is never validated or
+    analyzed.
     """
     s = _canonicalize(f)
     if checked:
@@ -138,14 +140,17 @@ def _canonicalize(f: Function) -> ESequence:
     `f` is a parsed `Function` or one a rule's working copy finished.
 
     One pass over `f.rpo`, the walk validation shares, builds the block and
-    value maps, then `render_function` writes the text straight from `f`
-    through them: it is exactly `print_function` of the renamed function
-    named `s`, and the digest is its blake2b. No block is built here.
+    value maps; then `remap_block` renames each reached block once, and
+    `render_function` prints the renamed blocks: the text is exactly
+    `print_function` of the canonical function named `s`, and the digest is
+    its blake2b. The value map is complete before any block is renamed, so
+    an invalid `f` that uses a value before defining it still canonicalizes
+    and is reported, in its own ids, when its function is read.
 
     Validity and reducibility do not depend on names, so the sequence is
-    checked through `f`, when its blocks are built. Renaming fails only on an
-    invalid `f` (an undefined target or value, an unreached or duplicate
-    block); `validate` then names why."""
+    checked through `f` when its function is first read. Renaming fails only
+    on an invalid `f` (an undefined target or value, an unreached or
+    duplicate block); `validate` then names why."""
     try:
         rpo = f.rpo
         block_map = {old: new for new, old in enumerate(rpo)}
@@ -157,24 +162,17 @@ def _canonicalize(f: Function) -> ESequence:
             for instr in block.instructions:
                 value_map[instr.result] = len(value_map)
         params = tuple(value_map[v] for v in f.params)
-        text = render_function("s", f.params, source, value_map, block_map)
+        blocks = tuple(remap_block(block, value_map, block_map) for block in source)
     except KeyError:
-        text = None
-    if text is None or len(rpo) != len(f.blocks):
+        blocks = None
+    if blocks is None or len(rpo) != len(f.blocks):
         _require_valid(f)
         raise ValueError(f"invalid function @{f.name}: cannot canonicalize")
+    text = render_function("s", params, blocks)
     s = ESequence(None)
     s.params, s.text, s.digest, s.block_map = params, text, _digest(text), block_map
-    s._blocks = partial(_build_blocks, f, block_map, value_map)
+    s._source, s._blocks = f, blocks
     return s
-
-
-def _build_blocks(
-    f: Function, block_map: dict[BlockId, BlockId], value_map: dict[ValueId, ValueId]
-) -> tuple[Block, ...]:
-    """The canonical blocks, renamed from a validated `f`."""
-    _require_valid(f)
-    return tuple(remap_block(f.block(old), value_map, block_map) for old in f.rpo)
 
 
 def to_function(s: ESequence, name: str = "s") -> Function:
@@ -187,9 +185,8 @@ def to_function(s: ESequence, name: str = "s") -> Function:
 
 def canonical_hash(s: ESequence) -> str:
     """Deterministic structural digest, stable across processes: the digest
-    of `print_function(s.function)`. It prints the built blocks with the
-    renderer that gave `s.text`, so it equals `s.digest` whenever the blocks
-    match the text."""
+    of `print_function(s.function)`. It prints the blocks `s.text` was
+    printed from, with the same renderer, so it equals `s.digest`."""
     return _digest(print_function(s.function))
 
 

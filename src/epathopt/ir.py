@@ -494,10 +494,10 @@ def render_blockref(bid: BlockId) -> str:
     return f"b{bid}"
 
 
-def render_block(block: Block, value_name=render_value, block_name=render_blockref) -> list[str]:
+def render_block(block: Block) -> list[str]:
     """The lines of `block` in the text format: its header, then its
-    statements indented by two spaces; `value_name` and `block_name` write
-    the ids."""
+    statements indented by two spaces."""
+    value_name, block_name = render_value, render_blockref
     lines = [f"{block_name(block.id)}({', '.join(map(value_name, block.params))}):"]
     for instr in block.instructions:
         if instr.opcode == "iconst":
@@ -521,25 +521,12 @@ def render_block(block: Block, value_name=render_value, block_name=render_blockr
     return lines
 
 
-def render_function(
-    name: str,
-    params,
-    blocks,
-    value_map: dict[ValueId, ValueId] | None = None,
-    block_map: dict[BlockId, BlockId] | None = None,
-) -> str:
+def render_function(name: str, params, blocks) -> str:
     """The text format of one function: `blocks` holds its `Block`s in the
-    order they are written, each by `render_block`. Given renaming
-    maps, every id is written as the one it maps to, so a renamed function
-    is rendered without being built."""
-    value_name, block_name = render_value, render_blockref
-    if value_map is not None:
-        value_name = {old: render_value(new) for old, new in value_map.items()}.__getitem__
-    if block_map is not None:
-        block_name = {old: render_blockref(new) for old, new in block_map.items()}.__getitem__
-    lines = [f"func @{name}({', '.join(map(value_name, params))}) {{"]
+    order they are written, each by `render_block`."""
+    lines = [f"func @{name}({', '.join(map(render_value, params))}) {{"]
     for block in blocks:
-        lines += render_block(block, value_name, block_name)
+        lines += render_block(block)
     lines.append("}")
     return "\n".join(lines)
 

@@ -2,8 +2,10 @@
 
 `random_function` builds programs from a nesting grammar (straight-line
 chains, diamonds, loops), which keeps every generated function valid SSA with
-reducible control flow by construction. `irreducible_function` builds valid
-functions whose control flow is irreducible by construction.
+reducible control flow by construction. `fold_function` builds valid,
+reducible functions around constant-fold sites, which `random_function`
+seldom makes. `irreducible_function` builds valid functions whose control
+flow is irreducible by construction.
 """
 
 import random
@@ -108,6 +110,89 @@ def random_function(rng: random.Random, max_blocks: int = 8, name: str = "fuzz")
 
     blocks = tuple(sorted(builder.blocks, key=lambda b: b.id))
     return Function(name, params, entry, blocks)
+
+
+def _then(builder, bid, params, instr):
+    """Emit block `bid` holding `instr` and jumping to a new block, which is
+    returned."""
+    nxt = builder.reserve_block()
+    builder.emit(bid, params, instr, Jump(nxt, ()))
+    return nxt
+
+
+def _fold_region(builder, bid, params, acc, foldable, sites, depth):
+    """Emit `sites` constant-fold sites from block `bid`, in straight-line
+    code, in the arms of diamonds and in loop bodies; returns the last block,
+    its params and the accumulator, and the caller emits that block.
+
+    Each site is `op(x, y)`: an operand is a new constant block or one of
+    `foldable`, the constants and site results in scope, so some sites share
+    one constant block and some fold only once an earlier site has folded.
+    Each site's result is added into the accumulator `acc`, which diamonds
+    merge and loops carry, so every site stays live."""
+    rng = builder.rng
+    foldable = list(foldable)
+    while sites > 0:
+        n = rng.randrange(1, sites + 1)
+        shape = rng.random() if depth < 1 else 1.0
+        if shape < 0.25:
+            then_bid, else_bid, merge = (builder.reserve_block() for _ in range(3))
+            builder.emit(bid, params, None, BrIf(acc, then_bid, (), else_bid, ()))
+            then_sites = rng.randrange(0, n + 1)
+            for arm, arm_sites in ((then_bid, then_sites), (else_bid, n - then_sites)):
+                last, last_params, arm_acc = _fold_region(
+                    builder, arm, (), acc, foldable, arm_sites, depth + 1
+                )
+                builder.emit(last, last_params, None, Jump(merge, (arm_acc,)))
+            acc = builder.fresh_value()
+            bid, params = merge, (acc,)
+            sites -= n
+        elif shape < 0.5:
+            header, after = builder.reserve_block(), builder.reserve_block()
+            builder.emit(bid, params, None, Jump(header, (acc,)))
+            carried = builder.fresh_value()
+            last, last_params, body_acc = _fold_region(
+                builder, header, (carried,), carried, foldable, n, depth + 1
+            )
+            term = BrIf(body_acc, header, (body_acc,), after, (body_acc,))
+            builder.emit(last, last_params, None, term)
+            acc = builder.fresh_value()
+            bid, params = after, (acc,)
+            sites -= n
+        else:
+            operands = []
+            for _ in range(2):
+                if foldable and rng.random() < 0.35:
+                    operands.append(rng.choice(foldable))
+                    continue
+                const = builder.fresh_value()
+                imm = rng.randrange(-20, 21)
+                bid, params = _then(builder, bid, params, Instruction("iconst", const, (), imm)), ()
+                foldable.append(const)
+                operands.append(const)
+            result = builder.fresh_value()
+            root = Instruction(rng.choice(_PURE_BINOPS), result, tuple(operands))
+            bid, params = _then(builder, bid, params, root), ()
+            foldable.append(result)
+            total = builder.fresh_value()
+            bid = _then(builder, bid, params, Instruction("iadd", total, (acc, result)))
+            acc = total
+            sites -= 1
+    return bid, params, acc
+
+
+def fold_function(rng: random.Random, name: str = "folds") -> Function:
+    """A valid, reducible function of one parameter with 2 or 3 constant-fold
+    sites (see `_fold_region`), placed in straight-line code, diamonds and
+    loops; it returns the accumulated site results."""
+    builder = _Builder(rng)
+    param = builder.fresh_value()
+    entry = builder.reserve_block()
+    last, last_params, acc = _fold_region(
+        builder, entry, (param,), param, [], rng.randrange(2, 4), 0
+    )
+    builder.emit(last, last_params, None, Ret((acc,)))
+    return Function(name, (param,), entry, tuple(sorted(builder.blocks, key=lambda b: b.id)))
 
 
 def _straight_line(builder, bid, params, scope):

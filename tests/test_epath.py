@@ -30,7 +30,7 @@ from epathopt import (
     validate,
 )
 from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus
-from generators import irreducible_function, random_function
+from generators import fold_function, irreducible_function, random_function
 from oracles import audit_saturation, brute_closure
 
 RULES = rules_named(["licm", "constfold"])
@@ -217,38 +217,69 @@ def _count_calls(monkeypatch, owner, name, counter):
     monkeypatch.setattr(owner, name, counted)
 
 
+def _count_compute(monkeypatch, counter):
+    compute = Analyses.__dict__["compute"].__func__
+
+    def counted(cls, f):
+        counter["compute"] = counter.get("compute", 0) + 1
+        return compute(cls, f)
+
+    monkeypatch.setattr(Analyses, "compute", classmethod(counted))
+
+
+def _recording(rules, outputs):
+    """`rules`, each wrapped to append its outputs to `outputs`."""
+
+    def recorded(rule):
+        def apply(s, analyses):
+            out = rule.apply(s, analyses)
+            outputs.extend(out)
+            return out
+
+        return RewriteRule(rule.name, apply)
+
+    return [recorded(rule) for rule in rules]
+
+
 def test_each_distinct_sequence_analyzed_once(monkeypatch):
     import epathopt.analysis as analysis
+    import epathopt.esequence as esequence
     import epathopt.ir as ir
 
     calls = {}
     _count_calls(monkeypatch, analysis, "dominators", calls)
     _count_calls(monkeypatch, ir, "predecessors", calls)
     _count_calls(monkeypatch, ir, "reverse_postorder", calls)
-    compute = Analyses.__dict__["compute"].__func__
-
-    def counted_compute(cls, f):
-        calls["compute"] = calls.get("compute", 0) + 1
-        return compute(cls, f)
-
-    monkeypatch.setattr(Analyses, "compute", classmethod(counted_compute))
+    # Canonicalization renames each block through the name it imported.
+    _count_calls(monkeypatch, ir, "remap_block", calls)
+    _count_calls(monkeypatch, esequence, "remap_block", calls)
+    _count_compute(monkeypatch, calls)
 
     f = parse_function((CORPUS_DIR / "nested_loops.ir").read_text())
     p = EPath(from_function(f))
-    report = saturate(p, RULES)
+    made = []
+    report = saturate(p, _recording(RULES, made))
+    made = [out for out in made if "text" in vars(out)]  # the unpredicted ones
     sort_by_cost(p.variants())
     assert len(p) > 2
     # One DFS per graph: the parsed function, each rule output and each
     # distinct sequence.
     outputs = report.inserted + report.deduplicated
-    assert calls == {
+    assert len(made) == outputs - report.predicted
+    # One rename per block of the seed and of each made output.
+    renamed = len(p.sequence(p.seed)) + sum(len(p.sequence(out.digest)) for out in made)
+    expected = {
         "dominators": len(p),
         "predecessors": len(p),
         "reverse_postorder": 1 + outputs + len(p),
         "compute": len(p),
+        "remap_block": renamed,
     }
+    assert calls == expected
     for s in p.variants():
         assert analyze(s).function is s.function is to_function(s)
+        assert s.blocks and s.analyses
+    assert calls == expected
 
 
 def _emitting(function):
@@ -300,28 +331,22 @@ def test_duplicate_output_is_never_built(monkeypatch, name):
     seed = seed_of(name)
     p = EPath(seed)
     calls = {}
-    _count_calls(monkeypatch, esequence, "_build_blocks", calls)
+    _count_calls(monkeypatch, esequence, "validate", calls)
     _count_calls(monkeypatch, esequence, "print_function", calls)
+    _count_compute(monkeypatch, calls)
     outputs = []
-
-    def recorded(rule):
-        def apply(s, analyses):
-            out = rule.apply(s, analyses)
-            outputs.extend(out)
-            return out
-
-        return RewriteRule(rule.name, apply)
-
-    report = saturate(p, [recorded(rule) for rule in RULES])
+    report = saturate(p, _recording(RULES, outputs))
     assert report.deduplicated > 0
-    # Every new digest is built once, by `EPath.insert`; nothing is printed.
-    assert calls == {"_build_blocks": report.inserted}
+    # Every new digest is validated and analyzed once, by `EPath.insert`;
+    # nothing is printed.
+    expected = {"validate": report.inserted, "compute": report.inserted}
+    assert calls == expected
     duplicates = [out for out in outputs if p.sequence(out.digest) is not out]
     assert len(duplicates) == report.deduplicated
     assert all("function" not in vars(out) for out in duplicates)
-    for s in p.variants():  # cached: reading blocks again builds nothing
-        assert len(s.blocks) > 0
-    assert calls == {"_build_blocks": report.inserted}
+    for s in p.variants():  # cached: reading blocks again checks nothing
+        assert len(s.blocks) > 0 and s.analyses
+    assert calls == expected
 
 
 def _undominated():
@@ -470,18 +495,41 @@ def _golden_functions():
     return out
 
 
+def _audit(functions, runs):
+    """Audits each function under each `(rules, limits)` run; returns the
+    predicted outputs and the built duplicates, summed."""
+    predicted = built = 0
+    for f in functions:
+        for rules, limits in runs:
+            problems, report = audit_saturation(from_function(f), rules, **limits)
+            assert problems == [], (f.name, limits, problems)
+            predicted += report.predicted
+            built += report.deduplicated - report.predicted
+    return predicted, built
+
+
 def test_saturate_equals_the_flat_oracle():
     functions = list(load_corpus().values()) + _golden_functions()
     functions += [random_function(random.Random(seed)) for seed in range(200)]
     assert len(functions) >= 225
-    predicted = 0
-    for f in functions:
-        for rules in (RULES, rules_named(["constfold", "licm"])):
-            for limits in ({}, {"max_iterations": 2}, {"max_sequences": 5}):
-                problems, report = audit_saturation(from_function(f), rules, **limits)
-                assert problems == [], (f.name, limits, problems)
-                predicted += report.predicted
+    runs = [
+        (rules, limits)
+        for rules in (RULES, rules_named(["constfold", "licm"]))
+        for limits in ({}, {"max_iterations": 2}, {"max_sequences": 5})
+    ]
+    predicted, _ = _audit(functions, runs)
     assert predicted > 0
+
+
+def test_saturate_equals_the_flat_oracle_on_fold_sites():
+    # `random_function` seldom builds `op(iconst, iconst)`; these functions
+    # plant several such sites, some sharing a constant, in diamonds and
+    # loops. The 200 seeds give 1120 predicted outputs and 699 built
+    # duplicates.
+    functions = [fold_function(random.Random(seed)) for seed in range(200)]
+    runs = [(RULES, {}), (rules_named(["constfold", "licm"]), {"max_iterations": 2})]
+    predicted, built = _audit(functions, runs)
+    assert predicted >= 550 and built >= 350, (predicted, built)
 
 
 @pytest.mark.parametrize("workload", ["folds", "loops", "fuzz"])
@@ -555,18 +603,21 @@ def test_disjoint_footprints_meet_at_one_target(corpus, perfbench_workloads):
         parse_function(perfbench_workloads.generate(workload, 1)[0].text)
         for workload in ("folds", "loops")
     ]
-    squares = 0
-    for f in functions:
-        p = EPath(from_function(f))
-        saturate(p, RULES)
-        targets = {}
-        for e in p.edges:
-            targets.setdefault(e.source, set()).add(e.target)
-        for s in p.variants():
-            outs = [out for rule in RULES for out in rule.apply(s, analyze(s))]
-            for i, a in enumerate(outs):
-                for b in outs[i + 1:]:
-                    if a.footprint.isdisjoint(b.footprint) and a.digest != b.digest:
-                        squares += 1
-                        assert targets[a.digest] & targets[b.digest], (f.name, a.site, b.site)
-    assert squares > 100
+    # The 200 fold-site functions give 999 such pairs.
+    folds = [fold_function(random.Random(s)) for s in range(200)]
+    squares = [0, 0]
+    for group, fs in enumerate((functions, folds)):
+        for f in fs:
+            p = EPath(from_function(f))
+            saturate(p, RULES)
+            targets = {}
+            for e in p.edges:
+                targets.setdefault(e.source, set()).add(e.target)
+            for s in p.variants():
+                outs = [out for rule in RULES for out in rule.apply(s, analyze(s))]
+                for i, a in enumerate(outs):
+                    for b in outs[i + 1:]:
+                        if a.footprint.isdisjoint(b.footprint) and a.digest != b.digest:
+                            squares[group] += 1
+                            assert targets[a.digest] & targets[b.digest], (f.name, a.site)
+    assert squares[0] > 100 and squares[1] >= 500, squares

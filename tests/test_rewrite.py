@@ -30,7 +30,7 @@ from epathopt import (
 from epathopt.ir import predecessors, render_block
 from epathopt.rewrite import _CONSTFOLD, _Editor, _hoist, _match_patterns, apply_broken
 from conftest import argument_vectors, assert_all_equivalent, closure, golden, load_corpus
-from generators import random_function
+from generators import fold_function, random_function
 from oracles import brute_matches, fixpoint_invariance
 
 ADD_CONSTS = ExprPattern(
@@ -567,6 +567,7 @@ def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch):
     # and each such block must lie in the footprint.
     functions = list(load_corpus().values())
     functions += [random_function(random.Random(seed)) for seed in range(200)]
+    functions += [fold_function(random.Random(seed)) for seed in range(200)]
     sequences = [s for f in functions for s in closure(f)]
     edited = _edited_functions(monkeypatch)
     changed = 0
