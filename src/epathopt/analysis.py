@@ -1,6 +1,7 @@
-"""Classical CFG analyses: dominators (by `must_dataflow`, the solver
-`validate` uses), back edges, natural loops, and def-use chains, built on
-the CFG walks a `Function` keeps (`rpo`, `preds`).
+"""Classical CFG analyses: dominators (read off the immediate dominators
+that validation's one solve leaves on a `Function`), back edges, natural
+loops, and def-use chains, built on the CFG walks a `Function` keeps
+(`rpo`, `preds`).
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -14,7 +15,6 @@ from .ir import (
     BlockId,
     Function,
     ValueId,
-    must_dataflow,
     successors,
     terminator_values,
 )
@@ -73,18 +73,17 @@ UseSite = InstrUse | TermUse
 
 
 def dominators(f: Function) -> dict[BlockId, BlockId]:
-    """Immediate dominators: `must_dataflow` with bit i for `f.rpo[i]` gives
-    each block's strict dominators, a chain in which the immediate dominator
-    comes last in reverse postorder, at the highest set bit.
-
-    The entry block maps to itself.
+    """Immediate dominators, read off `f.idom_positions`, which the one solve
+    of `f`'s validation yields (run now if `f` is not checked yet); the map
+    lists the blocks in reverse postorder, and the entry block maps to
+    itself. Raises ValueError listing the violations when validation stops
+    before its solve (a duplicate or negative block id, an undefined entry,
+    a jump to an undefined block).
     """
+    if (idoms := f.idom_positions) is None:
+        raise ValueError(f"invalid function @{f.name}: " + "; ".join(f.violations))
     rpo = f.rpo
-    strict = must_dataflow(f, {bid: 1 << i for i, bid in enumerate(rpo)})
-    idom = {f.entry: f.entry}
-    for bid in rpo[1:]:
-        idom[bid] = rpo[strict[bid].bit_length() - 1]
-    return idom
+    return {bid: rpo[i] for bid, i in zip(rpo, idoms)}
 
 
 def dominates(idom: dict[BlockId, BlockId], a: BlockId, b: BlockId) -> bool:
@@ -212,9 +211,12 @@ class Analyses:
 
     @classmethod
     def compute(cls, f: Function) -> "Analyses":
-        """One pass: dominators over `f.rpo` (called by this module's global
-        name, so a wrapper put there counts them), back edges and loops read
-        off them. Raises IrreducibleError."""
+        """One pass: dominators read off the positions `f`'s validation keeps
+        (called by this module's global name, so a wrapper put there counts
+        them), back edges and loops read off them. A canonical function
+        inherits those positions and `rpo` from its source, so it is neither
+        walked nor solved here. Raises IrreducibleError, or ValueError as
+        `dominators` does."""
         idom = dominators(f)
         back = _back_edges(f, idom)
         loops = [_natural_loop(f, h, back) for h in sorted({t for _, t in back})]

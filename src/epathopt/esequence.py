@@ -80,10 +80,14 @@ class ESequence:
     def function(self) -> Function:
         """The sequence as the function `s`: on first use the source is
         validated and the canonical blocks are wrapped and kept; analyses,
-        costs and the rules all read this one object. Raises ValueError
-        listing the violations of an invalid source, and keeps nothing."""
-        _require_valid(self._source)
+        costs and the rules all read this one object. Canonical block i is
+        `source.rpo[i]`, so the function inherits its reverse postorder,
+        `0..n-1`, and the source's `idom_positions` tuple as is: no
+        canonical function is walked or solved. Raises ValueError listing
+        the violations of an invalid source, and keeps nothing."""
+        _require_valid(source := self._source)
         f = Function("s", self.params, 0, self._blocks)
+        f.__dict__.update(rpo=[*range(len(f.blocks))], idom_positions=source.idom_positions)
         self._source = self._blocks = None  # release the source
         return f
 

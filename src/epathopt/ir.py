@@ -130,14 +130,29 @@ class Function:
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
-        """What `validate` reports, checked on first use and kept. The blocks
-        must not change afterwards."""
-        return tuple(_find_violations(self))
+        """What `validate` reports, checked on first use and kept with the
+        `idom_positions` its solve yields. The blocks must not change
+        afterwards."""
+        found, self.__dict__["idom_positions"] = _find_violations(self)
+        return tuple(found)
+
+    @cached_property
+    def idom_positions(self) -> tuple[int, ...] | None:
+        """Each reached block's immediate dominator as a position in `rpo`,
+        indexed by the block's own position; the entry, at position 0, is
+        given itself. Validation's one solve yields each block's strict
+        dominators as a mask with bit i for `rpo[i]`, a chain whose highest
+        bit is the immediate dominator; only that bit is kept, so a stored
+        function holds n small ints rather than n masks of up to n bits.
+        None when validation stops before its solve. Read-only."""
+        self.violations  # the first check keeps them
+        return self.__dict__["idom_positions"]
 
     @cached_property
     def rpo(self) -> list[BlockId]:
         """`reverse_postorder`, walked on first use and kept; read-only: the
-        one DFS that validation, canonicalization and analysis share."""
+        one DFS that validation, canonicalization and analysis share. A
+        canonical function is handed `0..n-1` by `ESequence.function`."""
         return reverse_postorder(self)
 
     @cached_property
@@ -202,10 +217,10 @@ def edges_conflict(term: Terminator) -> bool:
 
 def successors(f: Function, bid: BlockId) -> list[BlockId]:
     """The targets of `terminator_targets`, without their arguments."""
-    term = f.block(bid).terminator
-    if isinstance(term, Jump):
+    term = f._by_id[bid].terminator
+    if type(term) is Jump:
         return [term.target]
-    if isinstance(term, BrIf):
+    if type(term) is BrIf:
         return [term.then_target, term.else_target]
     return []
 
@@ -226,19 +241,24 @@ def must_dataflow(f: Function, gen: dict[BlockId, int]) -> dict[BlockId, int]:
     `in(p) | gen[p]` over b's reachable predecessors p. Each round walks
     `f.rpo`, each block pushing to its successors (no predecessor map); a
     block not pushed to yet stands for the full set, and every block but the
-    entry is pushed to by an earlier one before it is read."""
+    entry is pushed to by an earlier one before it is read. Another round
+    runs only when a block already read in this one gets a new input, which
+    only a retreating edge can give: an acyclic graph is solved in one round.
+    Validation runs it once per function, for its value bits and block bits
+    together."""
     into = {f.entry: 0}
+    position = {bid: i for i, bid in enumerate(f.rpo)}
     changed = True
     while changed:
         changed = False
-        for bid in f.rpo:
+        for i, bid in enumerate(f.rpo):
             out = into[bid] | gen[bid]
             for succ in successors(f, bid):
                 old = into.get(succ)
                 new = out if old is None else old & out
                 if new != old:
                     into[succ] = new
-                    changed = True
+                    changed |= position[succ] <= i
     return into
 
 
@@ -547,31 +567,33 @@ def validate(f: Function) -> list[str]:
     return list(f.violations)
 
 
-def _find_violations(f: Function) -> list[str]:
-    """The check behind `validate`: reachability from `f.rpo`, available
-    values by `must_dataflow`. It builds no predecessor map (edges into the
-    entry are noted in its scan of the terminators), so a function that is
-    validated but never analyzed keeps only its reverse postorder."""
+def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
+    """The check behind `validate`, and the dominators it finds on the way
+    (`Function.idom_positions`): reachability from `f.rpo`, then one
+    `must_dataflow` solve whose gen masks hold a bit per value and, above
+    them, a bit per block, so it yields available values and dominators
+    together. A reached block's input then holds its strict dominators in
+    its block bits; the entry's is among them for every block but the entry,
+    so the input's highest bit is the immediate dominator's. It builds no
+    predecessor map (edges into the entry are noted in its scan of the
+    terminators), so a function that is validated but never analyzed keeps
+    only its reverse postorder and the dominator positions. A duplicate or
+    negative block id, an undefined entry or a jump to an undefined block
+    stops the check before the walk, and no positions are returned."""
     violations: list[str] = []
+    by_id = f._by_id
 
     ids = [b.id for b in f.blocks]
-    seen: set[BlockId] = set()
-    duplicates: set[BlockId] = set()
-    for i in ids:
-        (duplicates if i in seen else seen).add(i)
-    for bid in sorted(duplicates):
-        violations.append(f"duplicate block id b{bid}")
-    if any(b.id < 0 for b in f.blocks):
+    twice = {i for i in ids if ids.count(i) > 1} if len(by_id) < len(ids) else ()
+    violations += [f"duplicate block id b{bid}" for bid in sorted(twice)]
+    if min(ids, default=0) < 0:
         violations.append("negative block id")
-    if violations:
-        return violations
-
-    if not f.has_block(f.entry):
+    if not violations and f.entry not in by_id:
         violations.append(f"entry b{f.entry} not defined")
-        return violations
+    if violations:
+        return violations, None
 
-    entry = f.block(f.entry)
-    if f.params != entry.params:
+    if f.params != by_id[f.entry].params:
         violations.append("function params differ from entry block params")
 
     # Definition sites: block params and instruction results.
@@ -583,12 +605,13 @@ def _find_violations(f: Function) -> list[str]:
             defs[instr.result] = defs.get(instr.result, 0) + 1
     for v in sorted(v for v, n in defs.items() if n > 1):
         violations.append(f"{render_value(v)}: defined more than once")
-    if any(v < 0 for v in defs):
+    if min(defs, default=0) < 0:
         violations.append("negative value id")
 
     targets_ok = True
     entry_has_preds = False
-    for b in sorted(f.blocks, key=lambda blk: blk.id):
+    blocks = sorted(f.blocks, key=lambda blk: blk.id)
+    for b in blocks:
         if len(b.instructions) > 1:
             violations.append(f"b{b.id}: ANF: >1 instruction")
         for instr in b.instructions:
@@ -610,21 +633,21 @@ def _find_violations(f: Function) -> list[str]:
                 violations.append(f"b{b.id}: {instr.opcode} carries an immediate")
 
         for target, args in terminator_targets(b.terminator):
-            if not f.has_block(target):
+            if target not in by_id:
                 violations.append(f"b{b.id}: jump to undefined block b{target}")
                 targets_ok = False
                 continue
             entry_has_preds |= target == f.entry
-            if len(args) != len(f.block(target).params):
+            if len(args) != len(by_id[target].params):
                 violations.append(
                     f"b{b.id}: terminator arity: b{target} expects "
-                    f"{len(f.block(target).params)} args, got {len(args)}"
+                    f"{len(by_id[target].params)} args, got {len(args)}"
                 )
         if edges_conflict(b.terminator):
             violations.append(f"b{b.id}: brif targets equal but args differ")
 
     if not targets_ok:
-        return violations
+        return violations, None
 
     # Reachability and predecessor structure.
     reachable = set(f.rpo)
@@ -633,42 +656,42 @@ def _find_violations(f: Function) -> list[str]:
     for bid in sorted(set(ids) - reachable):
         violations.append(f"b{bid}: unreachable")
 
-    # Forward availability: a use is legal iff its value is defined on every
-    # path from entry (equivalent to dominance under single definitions).
-    # Bit i stands for the i-th value of `defs`, in definition order.
+    # One solve: a use is legal iff its value is defined on every path from
+    # entry (equivalent to dominance under single definitions). Bit j stands
+    # for the j-th value of `defs`, bit len(defs) + i for the block f.rpo[i].
     bit = {v: 1 << i for i, v in enumerate(defs)}
-    block_defs: dict[BlockId, int] = {}
-    for bid in f.rpo:
-        b = f.block(bid)
-        mask = 0
+    gen: dict[BlockId, int] = {}
+    for i, bid in enumerate(f.rpo, len(defs)):
+        b = by_id[bid]
+        mask = 1 << i
         for v in b.params:
             mask |= bit[v]
         for instr in b.instructions:
             mask |= bit[instr.result]
-        block_defs[bid] = mask
-    avail_in = must_dataflow(f, block_defs)
+        gen[bid] = mask
+    avail_in = must_dataflow(f, gen)
 
-    for bid in sorted(reachable):
-        b = f.block(bid)
-        scope = avail_in[bid]
+    for b in blocks:
+        if (scope := avail_in.get(b.id)) is None:
+            continue  # unreachable
         for v in b.params:
             scope |= bit[v]
         for instr in b.instructions:
             for v in instr.operands:
-                violations.extend(_check_use(b, v, scope, bit))
+                if not scope & bit.get(v, 0):
+                    violations.append(_use_violation(b, v, bit))
             scope |= bit[instr.result]
         for v in terminator_values(b.terminator):
-            violations.extend(_check_use(b, v, scope, bit))
+            if not scope & bit.get(v, 0):
+                violations.append(_use_violation(b, v, bit))
 
-    return violations
+    return violations, tuple([max(avail_in[bid].bit_length() - len(defs) - 1, 0) for bid in f.rpo])
 
 
-def _check_use(b: Block, v: ValueId, scope: int, bit: dict[ValueId, int]) -> list[str]:
+def _use_violation(b: Block, v: ValueId, bit: dict[ValueId, int]) -> str:
     if v not in bit:
-        return [f"b{b.id}: use of undefined value {render_value(v)}"]
-    if scope & bit[v]:
-        return []
-    return [f"b{b.id}: use of {render_value(v)} not dominated by its definition"]
+        return f"b{b.id}: use of undefined value {render_value(v)}"
+    return f"b{b.id}: use of {render_value(v)} not dominated by its definition"
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,54 @@ def brute_dominator_sets(f):
     return dom
 
 
+def reference_must_dataflow(f, gen):
+    """`ir.must_dataflow` without its round test: the same greatest fixpoint
+    over `f.rpo`, each block pushing to its successors, but any change to an
+    input starts another full round, so even an acyclic graph takes two
+    rounds."""
+    into = {f.entry: 0}
+    changed = True
+    while changed:
+        changed = False
+        for bid in f.rpo:
+            out = into[bid] | gen[bid]
+            for succ, _ in terminator_targets(f.block(bid).terminator):
+                old = into.get(succ)
+                new = out if old is None else old & out
+                if new != old:
+                    into[succ] = new
+                    changed = True
+    return into
+
+
+def brute_irreducible_edge(f):
+    """The edge an `IrreducibleError` on `f` must name: the first edge of a
+    terminator-order DFS that reaches a block on the DFS stack that does not
+    dominate its source, by `brute_dominator_sets`; None for a reducible
+    `f`."""
+    dom = brute_dominator_sets(f)
+
+    def succs(bid):
+        return [t for t, _ in terminator_targets(f.block(bid).terminator)]
+
+    on_stack, visited = {f.entry}, {f.entry}
+    stack = [(f.entry, succs(f.entry))]
+    while stack:
+        bid, pending = stack[-1]
+        if not pending:
+            on_stack.discard(bid)
+            stack.pop()
+            continue
+        nxt = pending.pop(0)
+        if nxt in on_stack and nxt not in dom[bid]:
+            return bid, nxt
+        if nxt not in visited:
+            visited.add(nxt)
+            on_stack.add(nxt)
+            stack.append((nxt, succs(nxt)))
+    return None
+
+
 def idom_to_sets(f):
     """Dominator sets derived from the immediate-dominator chain."""
     idom = dominators(f)

@@ -4,10 +4,14 @@ import pytest
 
 from epathopt import (
     Analyses,
+    Block,
+    Function,
     InstrDef,
     InstrUse,
     IrreducibleError,
+    Jump,
     ParamDef,
+    Ret,
     TermUse,
     def_use,
     dominators,
@@ -162,6 +166,32 @@ def test_dominators_match_brute_force_on_mutated_graphs():
         seen["over_8_blocks"] += len(f.blocks) > 8
     assert seen["irreducible"] >= 8, seen
     assert min(seen["unreachable_pred"], seen["over_8_blocks"]) >= 100, seen
+
+
+# Functions whose validation stops before its solve, so no dominators exist.
+UNSOLVED = {
+    "duplicate block id b1": Function("f", (), 0, (
+        Block(0, (), (), Jump(1, ())),
+        Block(1, (), (), Ret(())),
+        Block(1, (), (), Jump(0, ())),
+    )),
+    "entry b5 not defined": Function("f", (), 5, (Block(0, (), (), Ret(())),)),
+    "jump to undefined block b7": Function("f", (), 0, (
+        Block(0, (), (), Jump(1, ())),
+        Block(1, (), (), Jump(7, ())),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSOLVED))
+def test_dominators_of_an_unsolved_function_raise_its_violations(case):
+    f = UNSOLVED[case]
+    assert any(case in v for v in f.violations)
+    message = "invalid function @f: " + "; ".join(f.violations)
+    for analysis in (dominators, Analyses.compute):
+        with pytest.raises(ValueError) as raised:
+            analysis(f)
+        assert str(raised.value) == message
 
 
 def test_back_edges_acyclic_diamond():

@@ -250,6 +250,7 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
     _count_calls(monkeypatch, analysis, "dominators", calls)
     _count_calls(monkeypatch, ir, "predecessors", calls)
     _count_calls(monkeypatch, ir, "reverse_postorder", calls)
+    _count_calls(monkeypatch, ir, "must_dataflow", calls)
     # Canonicalization renames each block through the name it imported.
     _count_calls(monkeypatch, ir, "remap_block", calls)
     _count_calls(monkeypatch, esequence, "remap_block", calls)
@@ -262,16 +263,20 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
     made = [out for out in made if "text" in vars(out)]  # the unpredicted ones
     sort_by_cost(p.variants())
     assert len(p) > 2
-    # One DFS per graph: the parsed function, each rule output and each
-    # distinct sequence.
     outputs = report.inserted + report.deduplicated
     assert len(made) == outputs - report.predicted
     # One rename per block of the seed and of each made output.
     renamed = len(p.sequence(p.seed)) + sum(len(p.sequence(out.digest)) for out in made)
+    # One DFS per graph walked: the parsed function and each made output. One
+    # solve per graph validated: the parsed function and each new output (a
+    # made duplicate is walked for its digest, never validated). A canonical
+    # function inherits both from its source.
+    assert report.inserted == len(p) - 1 < len(made)
     expected = {
         "dominators": len(p),
         "predecessors": len(p),
-        "reverse_postorder": 1 + outputs + len(p),
+        "reverse_postorder": 1 + len(made),
+        "must_dataflow": 1 + report.inserted,
         "compute": len(p),
         "remap_block": renamed,
     }

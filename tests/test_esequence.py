@@ -10,19 +10,27 @@ from epathopt import (
     IrreducibleError,
     Ret,
     canonical_hash,
+    dominators,
     find_back_edges,
     from_function,
     parse_function,
     print_function,
     remap,
+    reverse_postorder,
     rules_named,
     saturate,
     to_dot,
     to_function,
     validate,
 )
-from conftest import corpus_paths, golden, load_corpus
-from generators import irreducible_function, mutate, random_function
+from conftest import closure, corpus_paths, golden, load_corpus
+from generators import fold_function, irreducible_function, mutate, random_function
+from oracles import (
+    brute_dominator_sets,
+    brute_irreducible_edge,
+    idom_to_sets,
+    reference_must_dataflow,
+)
 
 
 def _alpha_rename(f, rng):
@@ -213,3 +221,42 @@ def test_text_and_digest_match_the_printed_oracle():
         s = from_function(f)
         g = from_function(_alpha_rename(f, rng))
         assert g == s and hash(g) == hash(s) and g.text == s.text, path.name
+
+
+def _solved_dominators(f):
+    """Immediate dominators of `f` from its own walk and a standalone solve
+    with one bit per block, by the reference solver."""
+    rpo = reverse_postorder(f)
+    strict = reference_must_dataflow(f, {bid: 1 << i for i, bid in enumerate(rpo)})
+    return {bid: rpo[strict[bid].bit_length() - 1] if bid != f.entry else bid for bid in rpo}
+
+
+def test_canonical_function_inherits_the_sources_walk_and_dominators(corpus):
+    # A canonical function is never walked or solved: it takes `0..n-1` as
+    # its reverse postorder and its source's dominator positions. Both must be
+    # what a fresh function built from its blocks gets by itself.
+    functions = list(corpus.values()) + [random_function(random.Random(s)) for s in range(200)]
+    functions += [fold_function(random.Random(s)) for s in range(200)]
+    checked = brute_checked = 0
+    for f in functions:
+        for s in closure(f):
+            kept = s.function
+            fresh = Function("s", s.params, 0, s.blocks)
+            assert kept.rpo == reverse_postorder(fresh) == list(range(len(s))), f.name
+            assert dominators(kept) == _solved_dominators(fresh) == s.analyses.idom, f.name
+            if len(s) <= 8:
+                assert idom_to_sets(kept) == brute_dominator_sets(kept), f.name
+                brute_checked += 1
+            checked += 1
+    assert checked > len(functions) and brute_checked > 100
+
+
+def test_parsed_irreducible_function_names_its_own_edge():
+    rng = random.Random(0x1E1)
+    for i in range(100):
+        f = parse_function(print_function(irreducible_function(rng, name=f"irr{i}")))
+        expected = brute_irreducible_edge(f)
+        assert expected is not None
+        with pytest.raises(IrreducibleError) as raised:
+            from_function(f)
+        assert raised.value.edge == expected, print_function(f)

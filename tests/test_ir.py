@@ -23,8 +23,8 @@ from epathopt import (
 )
 from epathopt import ir
 from conftest import argument_vectors, closure, corpus_paths, golden, load_corpus
-from generators import MUTATIONS, mutate, random_function
-from oracles import brute_interpret, brute_validate
+from generators import MUTATIONS, fold_function, mutate, random_function
+from oracles import brute_interpret, brute_validate, reference_must_dataflow
 
 IDENTITY = "func @id(v0) {\nb0(v0):\n  ret v0\n}"
 
@@ -495,6 +495,58 @@ def test_validate_matches_graph_search_oracle_on_mutants():
         seen["unreachable"] += bool(unreachable)
         seen["entry_preds"] += entry_preds
     assert min(seen.values()) >= 50, seen
+
+
+def _validate_mutants():
+    """The inputs of `test_validate_matches_graph_search_oracle_on_mutants`:
+    the same seed, drawn in the same order."""
+    rng = random.Random(0x5EED)
+    for _ in range(2400):
+        f = random_function(rng, max_blocks=12)
+        for _ in range(rng.randint(1, 2)):
+            f = mutate(rng, f, rng.choice(MUTATIONS))
+        yield f
+
+
+def _gens(f):
+    """Two gen maps over the blocks `f` reaches: block gens (bit i for
+    `f.rpo[i]`) and value gens (a bit per value in definition order, one
+    bit for a value defined more than once)."""
+    bit = {}
+    for b in f.blocks:
+        for v in (*b.params, *(instr.result for instr in b.instructions)):
+            bit.setdefault(v, 1 << len(bit))
+    values = {}
+    for bid in f.rpo:
+        b = f.block(bid)
+        values[bid] = sum({bit[v] for v in (*b.params, *(i.result for i in b.instructions))})
+    return {bid: 1 << i for i, bid in enumerate(f.rpo)}, values
+
+
+def test_must_dataflow_matches_the_reference_solver():
+    functions = list(load_corpus().values()) + list(_validate_mutants())
+    assert len(functions) > 2400
+    for f in functions:
+        for gen in _gens(f):
+            assert ir.must_dataflow(f, gen) == reference_must_dataflow(f, gen), print_function(f)
+
+
+def test_must_dataflow_reads_an_acyclic_function_once_per_block(monkeypatch):
+    functions = list(load_corpus().values()) + [fold_function(random.Random(s)) for s in range(50)]
+    calls = []
+    successors = ir.successors
+    monkeypatch.setattr(ir, "successors", lambda f, bid: calls.append(bid) or successors(f, bid))
+    acyclic = 0
+    for f in functions:
+        index = {bid: i for i, bid in enumerate(f.rpo)}
+        if any(index[t] <= index[bid] for bid in f.rpo for t in successors(f, bid)):
+            continue
+        for gen in _gens(f):
+            calls.clear()
+            ir.must_dataflow(f, gen)
+            assert calls == f.rpo, print_function(f)
+        acyclic += 1
+    assert acyclic >= 20
 
 
 def test_validate_names_each_duplicate_block_id_once():
