@@ -1,7 +1,8 @@
 """Classical CFG analyses: dominators (read off the immediate dominators
-that validation's one solve leaves on a `Function`), back edges, natural
-loops, and def-use chains, built on the CFG walks a `Function` keeps
-(`rpo`, `preds`).
+that validation's one solve leaves on a `Function`), back edges and natural
+loops, built on the CFG walks a `Function` keeps (`rpo`, `preds`); and
+`def_use`, the def-use chains, built only when called (no stored variant
+keeps them).
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -195,19 +196,17 @@ def def_use(f: Function) -> dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]:
 
 @dataclass(frozen=True)
 class Analyses:
-    """Per-function analysis bundle shared by rewrites and cost evaluation.
+    """The CFG facts of one function that rewrites and cost evaluation share.
 
-    Read-only: `ESequence.analyses` caches one bundle per sequence. `rpo`
-    and `preds` are the walks `function` keeps.
+    Read-only: `ESequence.analyses` caches one bundle per sequence. It holds
+    only what it computes; the walks `rpo` and `preds` are read off
+    `function`, and a rule that needs def-use chains calls `def_use`.
     """
 
     function: Function
-    rpo: list[BlockId]
-    preds: dict[BlockId, list[BlockId]]
     idom: dict[BlockId, BlockId]
     back_edges: set[tuple[BlockId, BlockId]]
     loops: list[LoopRegion]
-    def_use: dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]
 
     @classmethod
     def compute(cls, f: Function) -> "Analyses":
@@ -215,10 +214,10 @@ class Analyses:
         (called by this module's global name, so a wrapper put there counts
         them), back edges and loops read off them. A canonical function
         inherits those positions and `rpo` from its source, so it is neither
-        walked nor solved here. Raises IrreducibleError, or ValueError as
-        `dominators` does."""
+        walked nor solved here, and no def-use chain is built. Raises
+        IrreducibleError, or ValueError as `dominators` does."""
         idom = dominators(f)
         back = _back_edges(f, idom)
         loops = [_natural_loop(f, h, back) for h in sorted({t for _, t in back})]
         loops.sort(key=lambda r: (-len(r.body), r.header))
-        return cls(f, f.rpo, f.preds, idom, back, loops, def_use(f))
+        return cls(f, idom, back, loops)

@@ -88,6 +88,8 @@ def cmd_opt(ns: argparse.Namespace) -> int:
     if ns.cost_table is not None:
         try:
             table = load_cost_table(ns.cost_table.read_text())
+        except UnicodeDecodeError as exc:
+            raise _Failure(f"cost table: {ns.cost_table}: {exc}", 2)
         except (OSError, ValueError) as exc:
             raise _Failure(f"cost table: {exc}", 2)
     else:

@@ -11,6 +11,7 @@ sufficiently large N.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import Analyses
@@ -121,6 +122,8 @@ def load_cost_table(text: str) -> CostTable:
             costs[name] = cost
         else:
             raise ValueError(f"line {line_no}: unknown opcode {name!r}")
+        if cost < 0:
+            raise ValueError(f"line {line_no}: costs must be nonnegative")
 
     table = dict(default_cost_table().opcode_costs)
     table.update(costs)
@@ -130,13 +133,13 @@ def load_cost_table(text: str) -> CostTable:
 def cost_of(
     s: ESequence, table: CostTable | None = None, analyses: Analyses | None = None
 ) -> CostPoly:
-    """Sum block costs, one nesting depth per enclosing loop."""
+    """Sum block costs, one nesting depth per enclosing loop: every block
+    starts at depth 0, and one pass over the loops counts 1 for each block
+    of each loop body."""
     table = table or default_cost_table()
     analyses = analyses or analyze(s)
 
-    depth = {
-        b.id: sum(1 for loop in analyses.loops if b.id in loop.body) for b in s.blocks
-    }
+    depth = Counter(bid for loop in analyses.loops for bid in loop.body)
     coefficients = [0] * (max(depth.values(), default=0) + 1)
     for b in s.blocks:
         block_cost = table.terminator_cost

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .analysis import Analyses, InstrDef, InstrUse, LoopRegion
+from .analysis import Analyses, InstrUse, LoopRegion, def_use
 from .esequence import ESequence, analyze, from_function
 from .ir import (
     Block,
@@ -173,37 +173,33 @@ def classify_invariance(
     loop: LoopRegion, s: ESequence, analyses: Analyses | None = None
 ) -> LicmSplit:
     """A block is invariant iff its instruction is pure and every operand is
-    defined outside the loop or by an invariant block inside it. One pass in
-    reverse postorder decides every block: a definition dominates its uses,
-    so its block comes first. Both tuples list blocks in ascending id."""
-    analyses = analyses or analyze(s)
-    f = analyses.function
-    def_use = analyses.def_use
+    defined outside the loop or by an invariant instruction inside it. In
+    SSA each value has one definition, so two value sets decide an operand:
+    the values the body's blocks define, and the results found invariant so
+    far. One pass in reverse postorder decides every block: a definition
+    dominates its uses, so its block comes first. Both tuples list blocks in
+    ascending id."""
+    f = (analyses or analyze(s)).function
+    inside: set[ValueId] = set()
+    for bid in loop.body:
+        b = f.block(bid)
+        inside.update(b.params, (instr.result for instr in b.instructions))
 
-    candidates: list[BlockId] = []
-    invariant: set[BlockId] = set()
-    for bid in analyses.rpo:
+    invariant: list[BlockId] = []
+    variant: list[BlockId] = []
+    hoisted: set[ValueId] = set()
+    for bid in f.rpo:
         instr = bid in loop.body and f.block(bid).instruction
         if not instr:
             continue
-        candidates.append(bid)
         if instr.opcode not in IMPURE_OPCODES and all(
-            _invariant_operand(def_use[v][0], loop, invariant) for v in instr.operands
+            v not in inside or v in hoisted for v in instr.operands
         ):
-            invariant.add(bid)
-
-    candidates.sort()
-    return LicmSplit(
-        loop,
-        tuple(b for b in candidates if b in invariant),
-        tuple(b for b in candidates if b not in invariant),
-    )
-
-
-def _invariant_operand(site, loop: LoopRegion, invariant: set) -> bool:
-    if site.block not in loop.body:
-        return True
-    return isinstance(site, InstrDef) and site.block in invariant
+            hoisted.add(instr.result)
+            invariant.append(bid)
+        else:
+            variant.append(bid)
+    return LicmSplit(loop, tuple(sorted(invariant)), tuple(sorted(variant)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,7 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
     for loop in analyses.loops:
         split = classify_invariance(loop, s, analyses)
         if split.invariant_blocks:
-            footprint = loop.body.union(analyses.preds[loop.header])
+            footprint = loop.body.union(analyses.function.preds[loop.header])
             edit = partial(_hoist, analyses, loop, split)
             out.append(_output(("licm", loop.header), footprint, edit))
     return out
@@ -400,28 +396,30 @@ def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESe
     """One variant per match of a `_CONSTFOLD` pattern `op(iconst a, iconst b)`,
     ordered by pattern, then by block: the matched block, the site, becomes
     `iconst fold_constants(op, a, b)`, and dead constant feeders are
-    straightened out of the block chain."""
+    straightened out of the block chain. The def-use chains that `_fold`
+    reads are built once, and only when some pattern matched."""
     analyses = analyses or analyze(s)
     found = _match_patterns(_CONSTFOLD, analyses)
-    return [_fold(analyses, p.tree.opcode, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
+    chains = def_use(analyses.function) if any(found) else {}
+    return [_fold(analyses, chains, p, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
 
 
-def _fold(analyses: Analyses, opcode: str, m: dict[str, int]) -> ESequence:
-    """The output that folds `m`; a feeder read only by the folded
-    instruction is dead, and its block is spliced out. The footprint holds
-    the root, each feeder's definition and uses, and each spliced block's
-    predecessors and targets."""
-    root = analyses.def_use[m["root"]][0].block
+def _fold(analyses: Analyses, chains: dict, p: ExprPattern, m: dict[str, int]) -> ESequence:
+    """The output that folds `m`, read off the function's def-use `chains`;
+    a feeder read only by the folded instruction is dead, and its block is
+    spliced out. The footprint holds the root, each feeder's definition and
+    uses, and each spliced block's predecessors and targets."""
+    root = chains[m["root"]][0].block
     footprint = {root}
     dead = []
     for feeder in dict.fromkeys(analyses.function.block(root).instruction.operands):
-        site, uses = analyses.def_use[feeder]
+        site, uses = chains[feeder]
         footprint.update(u.block for u in (site, *uses))
         if all(isinstance(u, InstrUse) and u.block == root for u in uses):
             dead.append(site.block)
-            footprint.update(analyses.preds[site.block])
+            footprint.update(analyses.function.preds[site.block])
             footprint.update(_targets(analyses.function.block(site.block).terminator))
-    folded = Instruction("iconst", m["root"], (), fold_constants(opcode, m["a"], m["b"]))
+    folded = Instruction("iconst", m["root"], (), fold_constants(p.tree.opcode, m["a"], m["b"]))
     return _output(("constfold", root), footprint, partial(_fold_at, analyses, root, folded, dead))
 
 

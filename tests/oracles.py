@@ -9,6 +9,7 @@ import itertools
 import math
 
 from epathopt import (
+    CostPoly,
     EPath,
     FuelExhausted,
     Jump,
@@ -20,6 +21,7 @@ from epathopt import (
     RewriteRule,
     SaturationReport,
     analyze,
+    default_cost_table,
     dominators,
     saturate,
     terminator_targets,
@@ -300,6 +302,19 @@ def fixpoint_invariance(loop, f):
                 found.add(b.id)
                 changed = True
     return found
+
+
+def per_block_cost(s, table=None):
+    """`cost_of` by the per-block formula: each block's depth counts the
+    loops whose body holds it, and its cost lands at that power of N."""
+    table = table or default_cost_table()
+    loops = analyze(s).loops
+    coefficients = {}
+    for b in s.blocks:
+        depth = sum(1 for loop in loops if b.id in loop.body)
+        cost = table.terminator_cost + sum(table.opcode_cost(i.opcode) for i in b.instructions)
+        coefficients[depth] = coefficients.get(depth, 0) + cost
+    return CostPoly(tuple(coefficients.get(k, 0) for k in range(max(coefficients, default=0) + 1)))
 
 
 def brute_validate(f):

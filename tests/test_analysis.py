@@ -299,5 +299,5 @@ def test_def_use_fuzz_uses_dominated():
 def test_analyses_bundle(corpus):
     for f in corpus.values():
         a = Analyses.compute(f)
-        assert a.rpo[0] == f.entry
+        assert a.function.rpo[0] == f.entry
         assert len(a.loops) == len(CORPUS_LOOPS[next(n for n, g in corpus.items() if g is f)])

@@ -166,6 +166,21 @@ def test_opt_bad_cost_table_exit_2(capsys, tmp_path):
     assert "unknown opcode" in err
 
 
+def test_opt_cost_table_errors_are_located(capsys, tmp_path):
+    table = tmp_path / "costs.txt"
+    table.write_text("imul = 2\niadd = -3\n")
+    assert run(capsys, ["opt", SEC2, "--cost-table", str(table)]) == (
+        2, "", "epath-opt: error: cost table: line 2: costs must be nonnegative\n"
+    )
+    table.write_bytes(b"iadd = 1\n\xff\n")
+    assert run(capsys, ["opt", SEC2, "--cost-table", str(table)]) == (
+        2,
+        "",
+        f"epath-opt: error: cost table: {table}: 'utf-8' codec can't decode byte 0xff "
+        "in position 9: invalid start byte\n",
+    )
+
+
 def test_opt_multi_function_file(capsys, tmp_path):
     multi = tmp_path / "multi.ir"
     multi.write_text(

@@ -1,3 +1,4 @@
+import random
 from functools import cmp_to_key
 from types import SimpleNamespace
 
@@ -23,7 +24,9 @@ from epathopt import (
     to_function,
 )
 from epathopt import cost
-from conftest import load_corpus
+from conftest import closure, load_corpus
+from generators import fold_function, random_function
+from oracles import per_block_cost
 
 RULES = rules_named(["licm", "constfold"])
 
@@ -129,6 +132,22 @@ def test_cost_nested_loop_degree():
     assert cost_of(s).degree == 2
 
 
+def test_cost_of_matches_per_block_depths():
+    # Every stored variant, under the default table and a weighted one with
+    # a terminator cost.
+    weighted = CostTable({"iconst": 2, "imul": 5, "sideeffect": 3}, 1)
+    functions = list(load_corpus().values())
+    functions += [random_function(random.Random(seed)) for seed in range(200)]
+    functions += [fold_function(random.Random(seed)) for seed in range(200)]
+    degrees = set()
+    for f in functions:
+        for s in closure(f):
+            for table in (None, weighted):
+                assert cost_of(s, table) == per_block_cost(s, table), print_function(f)
+            degrees.add(cost_of(s).degree)
+    assert degrees >= {0, 1, 2}
+
+
 def test_cost_table_validation():
     with pytest.raises(ValueError, match="unknown opcodes"):
         CostTable({"bogus": 1})
@@ -160,6 +179,9 @@ def test_load_cost_table():
         ("iadd =\u00a05", r"^line 1: bad integer '\\xa05'$"),
         ("iadd = 5\u3000", r"^line 1: bad integer '5\\u3000'$"),
         ("imul = 2\n\u3000iadd = 5", r"^line 2: unknown opcode '\\u3000iadd'$"),
+        # A negative cost is located like every other error.
+        ("imul = 2\niadd = -3", "^line 2: costs must be nonnegative$"),
+        ("terminator = -1", "^line 1: costs must be nonnegative$"),
     ],
 )
 def test_load_cost_table_errors(text, fragment):

@@ -5,6 +5,7 @@ import pytest
 from epathopt import (
     Analyses,
     Block,
+    EPath,
     ExprPattern,
     Function,
     Jump,
@@ -12,10 +13,12 @@ from epathopt import (
     PatVar,
     RULES,
     Ret,
+    RewriteRule,
     analyze,
     apply_const_fold,
     apply_licm,
     classify_invariance,
+    def_use,
     fold_constants,
     from_function,
     interpret,
@@ -25,6 +28,7 @@ from epathopt import (
     print_function,
     remap,
     rules_named,
+    saturate,
     to_function,
 )
 from epathopt.ir import predecessors, render_block
@@ -218,7 +222,7 @@ def test_classify_invariance_matches_fixed_point_reference():
                     assert split.variant_blocks == tuple(b for b in instr_blocks if b not in expected)
                     loops += 1
                     chains += any(
-                        analyses.def_use[v][0].block in expected
+                        def_use(h)[v][0].block in expected
                         for b in expected
                         for v in h.block(b).instruction.operands
                     )
@@ -553,7 +557,7 @@ def test_output_sites_name_the_rewritten_block(corpus):
             ]
             sites = [out.site for out in apply_const_fold(s, analyses)]
             roots = [
-                analyses.def_use[m["root"]][0].block
+                def_use(analyses.function)[m["root"]][0].block
                 for ms in _match_patterns(_CONSTFOLD, analyses)
                 for m in ms
             ]
@@ -586,3 +590,45 @@ def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch):
                         changed += 1
                         assert b.id in out.footprint, (out.site, b.id, sorted(out.footprint))
     assert changed > 50
+
+
+def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch):
+    # `def_use` looks its site classes up by name when it runs, so counting
+    # subclasses put in their place see every definition site it builds.
+    import epathopt.analysis as analysis
+
+    built = []
+    for name in ("ParamDef", "InstrDef"):
+        base = getattr(analysis, name)
+
+        def __init__(self, *args, base=base):
+            built.append(type(self))
+            base.__init__(self, *args)
+
+        monkeypatch.setattr(analysis, name, type(name, (base,), {"__init__": __init__}))
+
+    # One chain per definition of the function of each constfold call that
+    # returns outputs, and none for the calls that return nothing.
+    expected = []
+    constfold = RULES["constfold"].apply
+
+    def counted(s, analyses=None):
+        outs = constfold(s, analyses)
+        if outs:
+            f = (analyses or analyze(s)).function
+            expected.extend(v for b in f.blocks for v in (*b.params, *b.instructions))
+        return outs
+
+    monkeypatch.setitem(RULES, "constfold", RewriteRule("constfold", counted))
+    looping = [f for f in load_corpus().values() if Analyses.compute(f).loops]
+    for f in looping:
+        path = EPath(from_function(f))
+        saturate(path, rules_named(["licm"]))
+        assert built == [], f.name
+    folded = 0
+    for f in looping:
+        before = len(expected)
+        closure(f)
+        assert len(built) == len(expected), f.name
+        folded += len(expected) > before
+    assert folded >= 2
