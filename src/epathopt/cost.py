@@ -14,7 +14,6 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
-from .analysis import Analyses
 from .epath import EPath
 from .esequence import ESequence, analyze
 from .ir import OPCODE_ARITY, logical_lines, parse_integer
@@ -130,16 +129,12 @@ def load_cost_table(text: str) -> CostTable:
     return CostTable(table, 0 if terminator is None else terminator)
 
 
-def cost_of(
-    s: ESequence, table: CostTable | None = None, analyses: Analyses | None = None
-) -> CostPoly:
+def cost_of(s: ESequence, table: CostTable | None = None) -> CostPoly:
     """Sum block costs, one nesting depth per enclosing loop: every block
-    starts at depth 0, and one pass over the loops counts 1 for each block
-    of each loop body."""
+    starts at depth 0, and one pass over the loops of `analyze(s)`, which the
+    sequence caches, counts 1 for each block of each loop body."""
     table = table or default_cost_table()
-    analyses = analyses or analyze(s)
-
-    depth = Counter(bid for loop in analyses.loops for bid in loop.body)
+    depth = Counter(bid for loop in analyze(s).loops for bid in loop.body)
     coefficients = [0] * (max(depth.values(), default=0) + 1)
     for b in s.blocks:
         block_cost = table.terminator_cost

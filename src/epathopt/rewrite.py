@@ -209,22 +209,20 @@ def classify_invariance(
 class _Editor:
     """Copy-on-write overlay of a function for building one rewrite result.
 
-    `blocks` starts as the source's own map of immutable `Block`s; every
-    write replaces a block through `set_instruction`, `set_terminator`,
-    `add_block` or `try_splice`, so the source never changes. Edges into a
-    block are moved by `ir.retarget`, whose result `set_terminator` stores.
-    `finish()` returns the result as a `Function`.
-
-    The overlay keeps every block's predecessors, sorted by block id, as
-    `predecessors` lists them. It starts from `f.preds`, the map `f` keeps
-    (for an analyzed sequence's function, the one its analyses read); a
-    changed list is replaced, never edited in place."""
+    `blocks` starts as the source's own map of immutable `Block`s. Every
+    write puts a new `Block` in place through `add_block`, which
+    `set_instruction` and `set_terminator` call, or deletes one in
+    `try_splice`, so the source never changes. Edges into a block are moved
+    by `ir.retarget`, whose result `set_terminator` stores. `written` holds
+    the ids of the blocks the edit replaced, added or removed: the result is
+    the source without them, plus the written blocks still in `blocks`.
+    `finish()` returns the result as a `Function`."""
 
     def __init__(self, f: Function):
         self._source = f
         self.entry = f.entry
         self.blocks: dict[BlockId, Block] = dict(f._by_id)
-        self._preds: dict[BlockId, list[BlockId]] = dict(f.preds)
+        self.written: set[BlockId] = set()
         self._next_block = max(self.blocks) + 1
         self._next_value: ValueId | None = None
 
@@ -244,33 +242,33 @@ class _Editor:
         return self._next_value - 1
 
     def preds(self, bid: BlockId) -> list[BlockId]:
-        """The predecessors of `bid`; read-only."""
-        return self._preds[bid]
+        """The current predecessors of `bid`, in ascending block id, as
+        `predecessors` lists them: derived from the source's `f.preds[bid]`
+        without the written blocks, plus each written block still present
+        whose terminator targets `bid`."""
+        kept = [p for p in self._source.preds.get(bid, ()) if p not in self.written]
+        present = self.written & self.blocks.keys()
+        return sorted(kept + [p for p in present if bid in _targets(self.blocks[p].terminator)])
 
     def set_instruction(self, bid: BlockId, instr: Instruction | None) -> None:
         b = self.blocks[bid]
-        self.blocks[bid] = Block(bid, b.params, (instr,) if instr else (), b.terminator)
+        self.add_block(Block(bid, b.params, (instr,) if instr else (), b.terminator))
 
     def set_terminator(self, bid: BlockId, term: Terminator) -> None:
         b = self.blocks[bid]
-        old, new = _targets(b.terminator), _targets(term)
-        for t in old - new:
-            self._preds[t] = [p for p in self._preds[t] if p != bid]
-        for t in new - old:
-            self._preds[t] = sorted([*self._preds.get(t, ()), bid])
-        self.blocks[bid] = Block(bid, b.params, b.instructions, term)
+        self.add_block(Block(bid, b.params, b.instructions, term))
 
     def add_block(self, block: Block) -> None:
         self.blocks[block.id] = block
-        self._preds.setdefault(block.id, [])
-        for t in _targets(block.terminator):
-            self._preds[t] = sorted([*self._preds.get(t, ()), block.id])
+        self.written.add(block.id)
 
     def try_splice(self, bid: BlockId) -> bool:
-        """Remove a parameterless jump-only block: `retarget` sends each
-        predecessor's edges into it to its target, with its jump's args.
-        Refuses shapes the IR cannot express (`edges_conflict`: a brif whose
-        branches would collapse onto one target with differing args)."""
+        """Remove a parameterless jump-only block, and record it as written:
+        `retarget` sends each predecessor's edges into it to its target, with
+        its jump's args. Refuses shapes the IR cannot express: a brif whose
+        branches would collapse onto one target with differing args
+        (`edges_conflict`), and an entry whose target has other predecessors,
+        which would leave the new entry with predecessors."""
         b = self.blocks[bid]
         if b.params or not isinstance(b.terminator, Jump):
             return False
@@ -280,6 +278,8 @@ class _Editor:
 
         if bid == self.entry and args:
             raise ValueError(f"cannot splice entry block b{bid}: its jump passes arguments")
+        if bid == self.entry and self.preds(target) != [bid]:
+            return False
 
         updates: dict[BlockId, Terminator] = {}
         for p in self.preds(bid):
@@ -295,8 +295,7 @@ class _Editor:
         if bid == self.entry:
             self.entry = target
         del self.blocks[bid]
-        del self._preds[bid]
-        self._preds[target] = [p for p in self._preds[target] if p != bid]
+        self.written.add(bid)
         return True
 
     def finish(self) -> Function:
@@ -396,7 +395,8 @@ def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESe
     """One variant per match of a `_CONSTFOLD` pattern `op(iconst a, iconst b)`,
     ordered by pattern, then by block: the matched block, the site, becomes
     `iconst fold_constants(op, a, b)`, and dead constant feeders are
-    straightened out of the block chain. The def-use chains that `_fold`
+    straightened out of the block chain where `_Editor.try_splice` allows
+    it. The def-use chains that `_fold`
     reads are built once, and only when some pattern matched."""
     analyses = analyses or analyze(s)
     found = _match_patterns(_CONSTFOLD, analyses)
@@ -407,8 +407,9 @@ def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESe
 def _fold(analyses: Analyses, chains: dict, p: ExprPattern, m: dict[str, int]) -> ESequence:
     """The output that folds `m`, read off the function's def-use `chains`;
     a feeder read only by the folded instruction is dead, and its block is
-    spliced out. The footprint holds the root, each feeder's definition and
-    uses, and each spliced block's predecessors and targets."""
+    spliced out unless the splice is refused. The footprint holds the root,
+    each feeder's definition and uses, and each dead block's predecessors
+    and targets."""
     root = chains[m["root"]][0].block
     footprint = {root}
     dead = []

@@ -1,4 +1,6 @@
 import random
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,11 @@ from epathopt import (
     saturate,
     to_function,
 )
+from generators import fold_function, random_function
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 ORACLE_SEED = 0xE9A7
 ORACLE_VECTORS = 16
@@ -70,11 +74,16 @@ def argument_vectors(n_params: int, count: int = ORACLE_VECTORS) -> list[list[in
     return [[rng.randrange(-100, 101) for _ in range(n_params)] for _ in range(count)]
 
 
-def closure(f: Function) -> list[ESequence]:
-    """Every variant of `f`'s saturated e-path under the default rules."""
+def saturated_path(f: Function) -> EPath:
+    """`f`'s e-path, saturated under the default rules."""
     p = EPath(from_function(f))
     saturate(p, rules_named(["licm", "constfold"]))
-    return p.variants()
+    return p
+
+
+def closure(f: Function) -> list[ESequence]:
+    """Every variant of `f`'s saturated e-path under the default rules."""
+    return saturated_path(f).variants()
 
 
 def assert_all_equivalent(sequences, name: str, n_params: int):
@@ -92,3 +101,27 @@ def corpus() -> dict[str, Function]:
     assert len(functions) >= 20
     assert set(CORPUS_LOOPS) == set(functions)
     return functions
+
+
+@pytest.fixture(scope="session")
+def saturated() -> dict[tuple[str, object], tuple[Function, EPath]]:
+    """Each shared input with its `saturated_path`, built once per session and
+    keyed by generator and seed, in this order: the corpus, keyed
+    `("corpus", file name)`, then `random_function(Random(seed))` and
+    `fold_function(Random(seed))` for each seed below 200, keyed
+    `("random_function", seed)` and `("fold_function", seed)`. Read-only."""
+    inputs = {("corpus", name): f for name, f in load_corpus().items()}
+    for generator in (random_function, fold_function):
+        for seed in range(200):
+            inputs[generator.__name__, seed] = generator(random.Random(seed))
+    return {key: (f, saturated_path(f)) for key, f in inputs.items()}
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch) -> types.ModuleType:
+    """The benchmark's input generators, executed from source so nothing is
+    written next to them."""
+    module = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclass
+    exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), module.__dict__)
+    return module

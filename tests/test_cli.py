@@ -20,9 +20,10 @@ from epathopt import (
     validate,
 )
 from epathopt.cli import main
-from epathopt.rewrite import apply_broken
+from epathopt.rewrite import apply_broken, rules_named
 from conftest import CORPUS_DIR, golden
 from generators import irreducible_function, random_function
+from oracles import audit_saturation
 
 SEC2 = str(CORPUS_DIR / "sec2_loop.ir")
 BOUNDED = str(CORPUS_DIR / "sec2_loop_bounded.ir")
@@ -86,6 +87,40 @@ def test_opt_output_reparses_and_revalidates(capsys):
         assert code == 0
         f = parse_function(out)
         assert validate(f) == []
+
+
+# Both constants feed only the loop's `isub`, so folding it finds the entry
+# `b0` and the loop header `b1` dead. Splicing both would make the entry `b2`,
+# which then branches back to itself.
+ENTRY_ONTO_LOOP = """\
+func @f() {
+b0():
+  v0 = iconst 2
+  jump b1()
+b1():
+  v1 = iconst 2
+  jump b2()
+b2():
+  v2 = isub v0, v1
+  brif v2, b1(), b3()
+b3():
+  ret v2
+}
+"""
+
+
+def test_a_fold_never_splices_the_entry_onto_a_block_with_predecessors(capsys, tmp_path):
+    path = tmp_path / "entry.ir"
+    path.write_text(ENTRY_ONTO_LOOP)
+    code, out, err = run(capsys, ["opt", str(path)])
+    assert code == 0 and err == ""
+    assert validate(parse_function(out)) == []
+    code, out, err = run(capsys, ["check", str(path), "--fuel", "50"])
+    assert (code, out, err) == (0, "@f: 5 variants agree\n", "")
+    problems, report = audit_saturation(
+        from_function(parse_function(ENTRY_ONTO_LOOP)), rules_named(["licm", "constfold"])
+    )
+    assert problems == [] and report.inserted == 4, problems
 
 
 def test_opt_checks_each_function_once(monkeypatch, capsys):

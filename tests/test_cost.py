@@ -1,4 +1,3 @@
-import random
 from functools import cmp_to_key
 from types import SimpleNamespace
 
@@ -24,8 +23,7 @@ from epathopt import (
     to_function,
 )
 from epathopt import cost
-from conftest import closure, load_corpus
-from generators import fold_function, random_function
+from conftest import load_corpus
 from oracles import per_block_cost
 
 RULES = rules_named(["licm", "constfold"])
@@ -132,16 +130,13 @@ def test_cost_nested_loop_degree():
     assert cost_of(s).degree == 2
 
 
-def test_cost_of_matches_per_block_depths():
+def test_cost_of_matches_per_block_depths(saturated):
     # Every stored variant, under the default table and a weighted one with
     # a terminator cost.
     weighted = CostTable({"iconst": 2, "imul": 5, "sideeffect": 3}, 1)
-    functions = list(load_corpus().values())
-    functions += [random_function(random.Random(seed)) for seed in range(200)]
-    functions += [fold_function(random.Random(seed)) for seed in range(200)]
     degrees = set()
-    for f in functions:
-        for s in closure(f):
+    for f, path in saturated.values():
+        for s in path.variants():
             for table in (None, weighted):
                 assert cost_of(s, table) == per_block_cost(s, table), print_function(f)
             degrees.add(cost_of(s).degree)

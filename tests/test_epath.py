@@ -1,7 +1,4 @@
 import random
-import sys
-import types
-from pathlib import Path
 
 import pytest
 
@@ -29,7 +26,7 @@ from epathopt import (
     to_function,
     validate,
 )
-from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus
+from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus, saturated_path
 from generators import fold_function, irreducible_function, random_function
 from oracles import audit_saturation, brute_closure
 
@@ -477,19 +474,6 @@ def test_saturate_raises_on_digest_collision(monkeypatch):
 # Commuting squares: `saturate` against the flat oracle
 
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-@pytest.fixture
-def perfbench_workloads(monkeypatch) -> types.ModuleType:
-    """The benchmark's input generators, executed from source so nothing is
-    written next to them."""
-    module = types.ModuleType("perfbench_workloads")
-    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclass
-    exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), module.__dict__)
-    return module
-
-
 def _golden_functions():
     """The goldens that hold one function's text."""
     out = []
@@ -600,21 +584,21 @@ def test_outputs_without_a_site_are_never_predicted():
     assert from_function(f).site is None
 
 
-def test_disjoint_footprints_meet_at_one_target(corpus, perfbench_workloads):
+def test_disjoint_footprints_meet_at_one_target(saturated, perfbench_workloads):
     # Two outputs of one sequence with disjoint footprints commute: the
     # saturated path has an edge from each to one common target.
-    functions = list(corpus.values()) + [random_function(random.Random(s)) for s in range(200)]
-    functions += [_fold_chain(4)] + [
+    groups = ([], [])  # the fold-site functions form the second group
+    for (generator, _), (f, p) in saturated.items():
+        groups[generator == "fold_function"].append((f, p))
+    extra = [_fold_chain(4)] + [
         parse_function(perfbench_workloads.generate(workload, 1)[0].text)
         for workload in ("folds", "loops")
     ]
+    groups[0].extend((f, saturated_path(f)) for f in extra)
     # The 200 fold-site functions give 999 such pairs.
-    folds = [fold_function(random.Random(s)) for s in range(200)]
     squares = [0, 0]
-    for group, fs in enumerate((functions, folds)):
-        for f in fs:
-            p = EPath(from_function(f))
-            saturate(p, RULES)
+    for group, paths in enumerate(groups):
+        for f, p in paths:
             targets = {}
             for e in p.edges:
                 targets.setdefault(e.source, set()).add(e.target)

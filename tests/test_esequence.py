@@ -23,8 +23,8 @@ from epathopt import (
     to_function,
     validate,
 )
-from conftest import closure, corpus_paths, golden, load_corpus
-from generators import fold_function, irreducible_function, mutate, random_function
+from conftest import corpus_paths, golden, load_corpus
+from generators import irreducible_function, mutate, random_function
 from oracles import (
     brute_dominator_sets,
     brute_irreducible_edge,
@@ -231,15 +231,13 @@ def _solved_dominators(f):
     return {bid: rpo[strict[bid].bit_length() - 1] if bid != f.entry else bid for bid in rpo}
 
 
-def test_canonical_function_inherits_the_sources_walk_and_dominators(corpus):
+def test_canonical_function_inherits_the_sources_walk_and_dominators(saturated):
     # A canonical function is never walked or solved: it takes `0..n-1` as
     # its reverse postorder and its source's dominator positions. Both must be
     # what a fresh function built from its blocks gets by itself.
-    functions = list(corpus.values()) + [random_function(random.Random(s)) for s in range(200)]
-    functions += [fold_function(random.Random(s)) for s in range(200)]
     checked = brute_checked = 0
-    for f in functions:
-        for s in closure(f):
+    for f, path in saturated.values():
+        for s in path.variants():
             kept = s.function
             fresh = Function("s", s.params, 0, s.blocks)
             assert kept.rpo == reverse_postorder(fresh) == list(range(len(s))), f.name
@@ -248,7 +246,7 @@ def test_canonical_function_inherits_the_sources_walk_and_dominators(corpus):
                 assert idom_to_sets(kept) == brute_dominator_sets(kept), f.name
                 brute_checked += 1
             checked += 1
-    assert checked > len(functions) and brute_checked > 100
+    assert checked > len(saturated) and brute_checked > 100
 
 
 def test_parsed_irreducible_function_names_its_own_edge():

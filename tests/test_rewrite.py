@@ -34,7 +34,7 @@ from epathopt import (
 from epathopt.ir import predecessors, render_block
 from epathopt.rewrite import _CONSTFOLD, _Editor, _hoist, _match_patterns, apply_broken
 from conftest import argument_vectors, assert_all_equivalent, closure, golden, load_corpus
-from generators import fold_function, random_function
+from generators import random_function
 from oracles import brute_matches, fixpoint_invariance
 
 ADD_CONSTS = ExprPattern(
@@ -565,23 +565,33 @@ def test_output_sites_name_the_rewritten_block(corpus):
             assert all(out.site is None for out in apply_broken(s, analyses))
 
 
-def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch):
+def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch, saturated):
     # Compared in the working copy, which keeps the source's block and value
     # ids: a source block that is gone, or renders differently, was written,
     # and each such block must lie in the footprint.
-    functions = list(load_corpus().values())
-    functions += [random_function(random.Random(seed)) for seed in range(200)]
-    functions += [fold_function(random.Random(seed)) for seed in range(200)]
-    sequences = [s for f in functions for s in closure(f)]
+    sequences = [s for _, path in saturated.values() for s in path.variants()]
     edited = _edited_functions(monkeypatch)
+    # The editor that finishes the working copy records the blocks it wrote:
+    # each changed block must be in `written`, and `written`, restricted to
+    # source ids, must lie in the footprint too.
+    editors = []
+    finish = _Editor.finish
+
+    def finished(ed):
+        editors.append(ed)
+        return finish(ed)
+
+    monkeypatch.setattr(_Editor, "finish", finished)
     changed = 0
     for s in sequences:
         source = s.function
         for rule in rules_named(["licm", "constfold"]):
             for out in rule.apply(s, analyze(s)):
                 edited.clear()
+                editors.clear()
                 out.digest
                 (working,) = edited
+                (ed,) = editors
                 assert out.site[1] in out.footprint
                 for b in source.blocks:
                     if not working.has_block(b.id) or (
@@ -589,6 +599,9 @@ def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch):
                     ):
                         changed += 1
                         assert b.id in out.footprint, (out.site, b.id, sorted(out.footprint))
+                        assert b.id in ed.written, (out.site, b.id, sorted(ed.written))
+                written = {bid for bid in ed.written if source.has_block(bid)}
+                assert written <= out.footprint, (out.site, sorted(written - out.footprint))
     assert changed > 50
 
 

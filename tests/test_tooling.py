@@ -1,9 +1,12 @@
 """The benchmark's tracer patches the program's functions by name: these
 tests fail when a name it wraps is renamed or an import it relies on is
-dropped, before a traced benchmark run crashes on it."""
+dropped, before a traced benchmark run crashes on it. One more pins the
+benchmark's inputs to the ones its newest record was taken on."""
 
 import ast
+import hashlib
 import importlib
+import json
 import types
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from epathopt.analysis import Analyses
 from epathopt.epath import EPath
 from conftest import CORPUS_DIR
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer() -> types.ModuleType:
@@ -176,3 +180,15 @@ def test_tracer_style_wrapping_keeps_the_squares(monkeypatch, corpus):
         assert report.inserted + report.deduplicated == outputs, name
         predicted += report.predicted
     assert predicted > 0
+
+
+def test_benchmark_inputs_match_the_newest_record(perfbench_workloads):
+    # `fuzz` is built from `generators.random_function`: an edit to it changes
+    # what the benchmark measures. The digest is the one `perfbench/run.py`
+    # prints for a workload's seed.
+    newest = max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    recorded = json.loads(newest.read_text())["workloads"]
+    for workload in ("folds", "loops", "fuzz"):
+        texts = "".join(case.text for case in perfbench_workloads.generate(workload, 1))
+        digest = hashlib.blake2b(texts.encode(), digest_size=8).hexdigest()
+        assert digest == recorded[workload]["input_digest"], (newest.name, workload)
