@@ -7,7 +7,8 @@ confirms by comparing canonical texts, which encode the structure one to
 one, so hash consing cannot silently conflate distinct sequences. The set
 analyzes every sequence before it stores it, which validates the sequence
 and checks its reducibility, so it holds only valid, reducible SSA whatever
-its callers pass in.
+its callers pass in: `from_function` validates nothing, so the set is the one
+trust gate.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ def saturate(
     Each (sequence, rule) pair is processed exactly once: iteration 1 applies
     every rule to every stored sequence, and each later iteration only to the
     frontier of sequences the previous one inserted, digest first, then rule,
-    in ascending digest order. The final set is the rewrite closure and is
+    in ascending digest order. A rule is called as `rule.apply(seq)` and
+    reads everything through the stored sequence, whose analyses the path
+    computed when it stored it. The final set is the rewrite closure and is
     independent of rule order. `rule_application_counts` counts produced
     rewrite results per rule, duplicates included.
 
@@ -156,7 +159,7 @@ def saturate(
             seq = path.sequence(digest)
             outputs: dict[tuple, tuple] = {}  # site -> (target, block map, footprint)
             for rule in rules:
-                for out in rule.apply(seq, analyze(seq)):
+                for out in rule.apply(seq):
                     counts[rule.name] += 1
                     known = predictions.get((digest, out.site))
                     if known:

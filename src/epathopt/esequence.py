@@ -5,13 +5,14 @@ are stored in canonical reverse postorder with densely renumbered block and
 value ids. Two functions that differ only in naming canonicalize to equal
 sequences with equal digests, which is what makes hash-consing work.
 
-Canonicalization renames its source's blocks once, prints the canonical text
-from those blocks and digests it; a rule output is edited and canonicalized
-only when its digest is first read. The sequence's one `Function` wraps the
-canonical blocks when first read, after its source is validated: that is the
-one place a sequence is validated, and `analyze` adds reducibility, so
-`EPath`, which analyzes what it stores, holds only valid, reducible
-sequences.
+Canonicalization (`from_function`) renames its source's blocks once, prints
+the canonical text from those blocks and digests it, and validates nothing;
+a rule output is edited and canonicalized only when its digest is first
+read. The sequence's one `Function` wraps the canonical blocks when first
+read, after its source is validated, and its `analyses` add reducibility:
+that is the one place a sequence is checked, and both name what they find
+in the source's own block ids. `EPath` analyzes what it stores, so it is the
+one trust gate and holds only valid, reducible sequences.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class ESequence:
     """An immutable region, made by `from_function` or, lazily, by a rule.
 
     Equality and hashing go by `text`, the canonical printed form, which
-    encodes the structure one to one. `function` is checked on first use.
+    encodes the structure one to one. `function` is validated on first use.
 
     A rule output is `ESequence(make, site, footprint)`: `make`, the
-    unchecked `from_function` of the rule's edit, runs on the first read of
+    `from_function` of the rule's edit, runs on the first read of
     `params`, `text`, `digest` or `block_map` (each block's canonical id, by
     the edit's block ids, which are its source's). `site` is `(rule name,
     block)` and `footprint` the blocks the rewrite reads or writes, in the
@@ -99,62 +100,40 @@ class ESequence:
     @cached_property
     def analyses(self) -> Analyses:
         """CFG analyses of `function`, computed on first use and kept for the
-        sequence's lifetime. Raises IrreducibleError."""
-        return Analyses.compute(self.function)
+        sequence's lifetime. Raises IrreducibleError naming the edge in the
+        source's own block ids: canonical block i is the source block that
+        `block_map` sends to i, so the map is inverted only on error."""
+        try:
+            return Analyses.compute(self.function)
+        except IrreducibleError as exc:
+            source_id = {new: old for old, new in self.block_map.items()}
+            raise IrreducibleError(tuple(source_id[b] for b in exc.edge)) from None
 
 
-def from_function(f: Function, *, checked: bool = True) -> ESequence:
-    """Canonicalize a valid, reducible function into an ESequence.
+def from_function(f: Function) -> ESequence:
+    """Canonicalize `f` into an ESequence, without validating it. `f` is a
+    parsed `Function` or one a rule's working copy finished, which shares the
+    source's unchanged blocks.
 
     Blocks are reordered to reverse postorder and renumbered 0..n-1; values
     are renumbered in definition order (entry params first, then each
-    block's params and instruction result).
+    block's params and instruction result). One pass over `f.rpo`, the walk
+    validation shares, builds the block and value maps; then `remap_block`
+    renames each reached block once, and `render_function` prints the
+    renamed blocks: the text is exactly `print_function` of the canonical
+    function named `s`, and the digest is its blake2b. The value map is
+    complete before any block is renamed, so an invalid `f` that uses a
+    value before defining it still canonicalizes.
 
-    The canonical blocks are built with the digest, and `f` is validated
-    when the sequence's function is first read; rules pass the `Function`
-    their working copy finishes, which shares the source's unchanged blocks.
-    A checked `Function` keeps its verdict, so one the parser has checked is
-    not checked again.
-
-    With `checked`, the sequence is validated and analyzed at once:
-    ValueError lists the violations of an invalid function, and
-    IrreducibleError names an edge in `f`'s own block ids. Rules pass
-    `checked=False`: the result is then checked when `EPath` stores it; a
-    duplicate has the text of a stored sequence and is never validated or
-    analyzed.
+    Validity and reducibility do not depend on names, so `f` is validated
+    when the sequence's function is first read, and its reducibility is
+    checked with the sequence's analyses; both name `f`'s own ids. `EPath`
+    analyzes every sequence it stores, and a duplicate has the text of a
+    stored sequence, so it is never validated or analyzed. A `Function`
+    keeps its verdict, so one the parser has validated is not validated
+    again. Renaming fails only on an invalid `f` (an undefined target or
+    value, an unreached or duplicate block): ValueError then names why.
     """
-    s = _canonicalize(f)
-    if checked:
-        try:
-            analyze(s)
-        except IrreducibleError as exc:
-            # Canonical block i is f.rpo[i]: name the edge in f's own ids.
-            raise IrreducibleError(tuple(f.rpo[b] for b in exc.edge)) from None
-    return s
-
-
-def _require_valid(f: Function) -> None:
-    violations = validate(f)
-    if violations:
-        raise ValueError(f"invalid function @{f.name}: " + "; ".join(violations))
-
-
-def _canonicalize(f: Function) -> ESequence:
-    """Rename `f` into canonical form and print it, without validating it.
-    `f` is a parsed `Function` or one a rule's working copy finished.
-
-    One pass over `f.rpo`, the walk validation shares, builds the block and
-    value maps; then `remap_block` renames each reached block once, and
-    `render_function` prints the renamed blocks: the text is exactly
-    `print_function` of the canonical function named `s`, and the digest is
-    its blake2b. The value map is complete before any block is renamed, so
-    an invalid `f` that uses a value before defining it still canonicalizes
-    and is reported, in its own ids, when its function is read.
-
-    Validity and reducibility do not depend on names, so the sequence is
-    checked through `f` when its function is first read. Renaming fails only
-    on an invalid `f` (an undefined target or value, an unreached or
-    duplicate block); `validate` then names why."""
     try:
         rpo = f.rpo
         block_map = {old: new for new, old in enumerate(rpo)}
@@ -177,6 +156,12 @@ def _canonicalize(f: Function) -> ESequence:
     s.params, s.text, s.digest, s.block_map = params, text, _digest(text), block_map
     s._source, s._blocks = f, blocks
     return s
+
+
+def _require_valid(f: Function) -> None:
+    violations = validate(f)
+    if violations:
+        raise ValueError(f"invalid function @{f.name}: " + "; ".join(violations))
 
 
 def to_function(s: ESequence, name: str = "s") -> Function:

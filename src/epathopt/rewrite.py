@@ -1,10 +1,12 @@
 """Rewrite rules over canonical sequences.
 
-A rule is a pure function from one sequence to zero or more new, semantically
-equivalent sequences; it never mutates its input. Each output carries its
-site and footprint and is built on first read: the rule edits a copy-on-write
-overlay of the sequence's function, and `from_function` renders and digests
-the `Function` it finishes; `EPath.insert` checks each new digest. Rules:
+A rule is a pure function, `apply(s)`, from one sequence to zero or more
+new, semantically equivalent sequences; it never mutates its input, and it
+reads everything through `s`: its `function`, and its cached `analyses` when
+it needs loops. Each output carries its site and footprint and is built on
+first read: the rule edits a copy-on-write overlay of the sequence's
+function, and `from_function` renders and digests the `Function` it
+finishes; `EPath.insert` checks each new digest. Rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
 * ``constfold``: fold binary operations over two constants. It is a table
@@ -44,7 +46,7 @@ from .ir import (
 @dataclass(frozen=True)
 class RewriteRule:
     name: str
-    apply: Callable[[ESequence, Analyses], list[ESequence]]
+    apply: Callable[[ESequence], list[ESequence]]
 
 
 @dataclass(frozen=True)
@@ -114,25 +116,24 @@ def match_expression(pat: ExprPattern, s: ESequence) -> list[dict[str, int]]:
 
     Operand order is respected (no commutativity); results are ordered by
     the root instruction's canonical block position. Binding values are
-    ValueIds for PatVar bindings and immediates for iconst bindings.
+    ValueIds for PatVar bindings and immediates for iconst bindings. It reads
+    `s.function` and needs no reducibility, so it never analyzes `s`.
     """
-    return _match_patterns((pat,), analyze(s))[0]
+    return _match_patterns((pat,), s.function)[0]
 
 
-def _match_patterns(
-    patterns: tuple[ExprPattern, ...], analyses: Analyses
-) -> list[list[dict[str, int]]]:
-    """`match_expression` of each pattern over the function of a sequence's
-    `analyses`, in one scan of its blocks, which are in reverse postorder: an
-    instruction is tried against the patterns rooted at its opcode, and an
-    operand is followed to its defining instruction, which dominates it and
-    so was scanned before it."""
+def _match_patterns(patterns: tuple[ExprPattern, ...], f: Function) -> list[list[dict[str, int]]]:
+    """`match_expression` of each pattern over a sequence's function `f`, in
+    one scan of its blocks, which are in reverse postorder: an instruction is
+    tried against the patterns rooted at its opcode, and an operand is
+    followed to its defining instruction, which dominates it and so was
+    scanned before it."""
     by_root: dict[str, list[tuple[ExprPattern, list]]] = {}
     found: list[list[dict[str, int]]] = [[] for _ in patterns]
     for pat, matches in zip(patterns, found):
         by_root.setdefault(pat.tree.opcode, []).append((pat, matches))
     defining: dict[ValueId, Instruction] = {}
-    for b in analyses.function.blocks:
+    for b in f.blocks:
         for instr in b.instructions:
             defining[instr.result] = instr
             for pat, matches in by_root.get(instr.opcode, ()):
@@ -163,10 +164,9 @@ def _match_node(p: PatOp, instr: Instruction, defining: dict, bindings: list) ->
 # Control-flow matching and invariance classification
 
 
-def match_loops(s: ESequence, analyses: Analyses | None = None) -> list[LoopRegion]:
+def match_loops(s: ESequence) -> list[LoopRegion]:
     """All natural loops of the region, outermost first."""
-    analyses = analyses or analyze(s)
-    return list(analyses.loops)
+    return list(analyze(s).loops)
 
 
 def classify_invariance(
@@ -310,16 +310,14 @@ def _targets(term: Terminator) -> set[BlockId]:
 def _output(site: tuple[str, BlockId], footprint, edit: Callable[[], _Editor]) -> ESequence:
     """A rule output at `site` that is edited by `edit` and canonicalized on
     the first read of its digest or text."""
-    return ESequence(
-        lambda: from_function(edit().finish(), checked=False), site, frozenset(footprint)
-    )
+    return ESequence(lambda: from_function(edit().finish()), site, frozenset(footprint))
 
 
 # ---------------------------------------------------------------------------
 # LICM
 
 
-def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence]:
+def apply_licm(s: ESequence) -> list[ESequence]:
     """One hoisted variant per loop with a non-empty invariant set.
 
     All invariant instructions of a loop move together, in dependency order,
@@ -327,19 +325,18 @@ def apply_licm(s: ESequence, analyses: Analyses | None = None) -> list[ESequence
     its loop-dependent blocks. Returns [] when nothing is hoistable. The
     site is the loop's header, the footprint its body and the header's
     predecessors."""
-    analyses = analyses or analyze(s)
+    analyses = analyze(s)
     out = []
     for loop in analyses.loops:
         split = classify_invariance(loop, s, analyses)
         if split.invariant_blocks:
             footprint = loop.body.union(analyses.function.preds[loop.header])
-            edit = partial(_hoist, analyses, loop, split)
+            edit = partial(_hoist, analyses.function, loop, split)
             out.append(_output(("licm", loop.header), footprint, edit))
     return out
 
 
-def _hoist(analyses: Analyses, loop: LoopRegion, split: LicmSplit) -> _Editor:
-    f = analyses.function
+def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> _Editor:
     ed = _Editor(f)
     header = loop.header
     hoisted = [f.block(bid).instruction for bid in split.invariant_blocks]
@@ -391,20 +388,20 @@ _CONSTFOLD = tuple(
 )
 
 
-def apply_const_fold(s: ESequence, analyses: Analyses | None = None) -> list[ESequence]:
+def apply_const_fold(s: ESequence) -> list[ESequence]:
     """One variant per match of a `_CONSTFOLD` pattern `op(iconst a, iconst b)`,
     ordered by pattern, then by block: the matched block, the site, becomes
     `iconst fold_constants(op, a, b)`, and dead constant feeders are
     straightened out of the block chain where `_Editor.try_splice` allows
-    it. The def-use chains that `_fold`
-    reads are built once, and only when some pattern matched."""
-    analyses = analyses or analyze(s)
-    found = _match_patterns(_CONSTFOLD, analyses)
-    chains = def_use(analyses.function) if any(found) else {}
-    return [_fold(analyses, chains, p, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
+    it. It reads `s.function` only; the def-use chains that `_fold` reads
+    are built once, and only when some pattern matched."""
+    f = s.function
+    found = _match_patterns(_CONSTFOLD, f)
+    chains = def_use(f) if any(found) else {}
+    return [_fold(f, chains, p, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
 
 
-def _fold(analyses: Analyses, chains: dict, p: ExprPattern, m: dict[str, int]) -> ESequence:
+def _fold(f: Function, chains: dict, p: ExprPattern, m: dict[str, int]) -> ESequence:
     """The output that folds `m`, read off the function's def-use `chains`;
     a feeder read only by the folded instruction is dead, and its block is
     spliced out unless the splice is refused. The footprint holds the root,
@@ -413,19 +410,19 @@ def _fold(analyses: Analyses, chains: dict, p: ExprPattern, m: dict[str, int]) -
     root = chains[m["root"]][0].block
     footprint = {root}
     dead = []
-    for feeder in dict.fromkeys(analyses.function.block(root).instruction.operands):
+    for feeder in dict.fromkeys(f.block(root).instruction.operands):
         site, uses = chains[feeder]
         footprint.update(u.block for u in (site, *uses))
         if all(isinstance(u, InstrUse) and u.block == root for u in uses):
             dead.append(site.block)
-            footprint.update(analyses.function.preds[site.block])
-            footprint.update(_targets(analyses.function.block(site.block).terminator))
+            footprint.update(f.preds[site.block])
+            footprint.update(_targets(f.block(site.block).terminator))
     folded = Instruction("iconst", m["root"], (), fold_constants(p.tree.opcode, m["a"], m["b"]))
-    return _output(("constfold", root), footprint, partial(_fold_at, analyses, root, folded, dead))
+    return _output(("constfold", root), footprint, partial(_fold_at, f, root, folded, dead))
 
 
-def _fold_at(analyses: Analyses, root: BlockId, folded: Instruction, dead: list) -> _Editor:
-    ed = _Editor(analyses.function)
+def _fold_at(f: Function, root: BlockId, folded: Instruction, dead: list) -> _Editor:
+    ed = _Editor(f)
     ed.set_instruction(root, folded)
     for bid in dead:
         ed.try_splice(bid)
@@ -436,7 +433,7 @@ def _fold_at(analyses: Analyses, root: BlockId, folded: Instruction, dead: list)
 # Negative control
 
 
-def apply_broken(s: ESequence, analyses: Analyses | None = None) -> list[ESequence]:
+def apply_broken(s: ESequence) -> list[ESequence]:
     """Unsound on purpose: bumps the first constant it finds. Exists so the
     differential checker has something to catch. Which constant is first
     depends on every block before it, so the output has no site."""
@@ -445,7 +442,7 @@ def apply_broken(s: ESequence, analyses: Analyses | None = None) -> list[ESequen
         if instr and instr.opcode == "iconst":
             ed = _Editor(s.function)
             ed.set_instruction(b.id, Instruction("iconst", instr.result, (), wrap64(instr.imm + 1)))
-            return [from_function(ed.finish(), checked=False)]
+            return [from_function(ed.finish())]
     return []
 
 

@@ -180,7 +180,7 @@ def brute_closure(seed, rules):
         changed = False
         for s in list(seen.values()):
             for rule in rules:
-                for out in rule.apply(s, analyze(s)):
+                for out in rule.apply(s):
                     if out.digest not in seen:
                         seen[out.digest] = out
                         changed = True
@@ -205,7 +205,7 @@ def flat_saturate(path, rules, *, max_iterations=64, max_sequences=100_000):
         for digest in frontier:
             seq = path.sequence(digest)
             for rule in rules:
-                for out in rule.apply(seq, analyze(seq)):
+                for out in rule.apply(seq):
                     counts[rule.name] += 1
                     if out.digest not in path:
                         if len(path) >= max_sequences:
@@ -245,8 +245,8 @@ def audit_saturation(seed, rules, **limits):
     outputs = []
 
     def recorded(rule):
-        def apply(s, analyses):
-            out = rule.apply(s, analyses)
+        def apply(s):
+            out = rule.apply(s)
             outputs.extend(out)
             return out
 

@@ -10,7 +10,6 @@ import pytest
 from epathopt import (
     FuelExhausted,
     IrreducibleError,
-    analyze,
     find_back_edges,
     from_function,
     interpret,
@@ -325,7 +324,7 @@ def test_check_catches_broken_on_random_functions(capsys, tmp_path):
         f = random_function(random.Random(seed))
         s = from_function(f)
         args = [rng.randrange(-5, 6) for _ in f.params]
-        for bumped in apply_broken(s, analyze(s)):
+        for bumped in apply_broken(s):
             results = [interpret(x.function, args, 1000) for x in (s, bumped)]
             if any(isinstance(r, FuelExhausted) for r in results) or results[0] == results[1]:
                 continue

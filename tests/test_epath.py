@@ -16,6 +16,7 @@ from epathopt import (
     RewriteEdge,
     RewriteRule,
     analyze,
+    find_back_edges,
     from_function,
     new_epath,
     parse_function,
@@ -52,7 +53,7 @@ def test_seed_digest_stable_across_runs():
 def test_insert_and_duplicate():
     s = seed_of("sec2_loop.ir")
     p = EPath(s)
-    (hoisted,) = RULES[0].apply(s, analyze(s))
+    (hoisted,) = RULES[0].apply(s)
     edge = RewriteEdge(s.digest, hoisted.digest, "licm")
     assert p.insert(hoisted, edge) is True
     assert len(p) == 2
@@ -64,7 +65,7 @@ def test_insert_and_duplicate():
 def test_duplicate_insert_records_new_edge():
     s = seed_of("sec2_loop.ir")
     p = EPath(s)
-    (hoisted,) = RULES[0].apply(s, analyze(s))
+    (hoisted,) = RULES[0].apply(s)
     p.insert(hoisted, RewriteEdge(s.digest, hoisted.digest, "licm"))
     assert p.insert(hoisted, RewriteEdge(hoisted.digest, hoisted.digest, "other")) is False
     assert len(p.edges) == 2
@@ -228,8 +229,8 @@ def _recording(rules, outputs):
     """`rules`, each wrapped to append its outputs to `outputs`."""
 
     def recorded(rule):
-        def apply(s, analyses):
-            out = rule.apply(s, analyses)
+        def apply(s):
+            out = rule.apply(s)
             outputs.extend(out)
             return out
 
@@ -286,7 +287,7 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
 
 def _emitting(function):
     """A rule whose only output is `function`, canonicalized as rules do."""
-    return RewriteRule("emit", lambda s, analyses: [from_function(function, checked=False)])
+    return RewriteRule("emit", lambda s: [from_function(function)])
 
 
 def test_saturate_rejects_new_invalid_output():
@@ -371,13 +372,24 @@ UNTRUSTED = [
 ]
 
 
+def _assert_named_in_own_ids(f, exc):
+    """An irreducible edge is named in `f`'s own block ids, as
+    `find_back_edges(f)` names it, not in the canonical ones."""
+    if isinstance(exc, IrreducibleError):
+        with pytest.raises(IrreducibleError) as expected:
+            find_back_edges(f)
+        assert exc.edge == expected.value.edge
+
+
 @pytest.mark.parametrize("build, error, message", UNTRUSTED)
 def test_epath_refuses_an_unchecked_bad_seed(build, error, message):
-    s = from_function(build(), checked=False)
-    with pytest.raises(error, match=message):
+    s = from_function(build())
+    with pytest.raises(error, match=message) as raised:
         EPath(s)
-    with pytest.raises(error, match=message):
+    _assert_named_in_own_ids(build(), raised.value)
+    with pytest.raises(error, match=message) as raised:
         new_epath(s)
+    _assert_named_in_own_ids(build(), raised.value)
 
 
 @pytest.mark.parametrize("build, error, message", UNTRUSTED)
@@ -385,10 +397,11 @@ def test_insert_refuses_an_unchecked_bad_sequence_and_changes_nothing(build, err
     p = EPath(seed_of("sec2_loop.ir"))
     saturate(p, RULES)
     before = (len(p), p.digests(), p.edges)
-    s = from_function(build(), checked=False)
+    s = from_function(build())
     assert len(s.params) == len(p.sequence(p.seed).params)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as raised:
         p.insert(s, RewriteEdge(p.seed, s.digest, "untrusted"))
+    _assert_named_in_own_ids(build(), raised.value)
     assert (len(p), p.digests(), p.edges) == before
     assert s.digest not in p
 
@@ -396,7 +409,7 @@ def test_insert_refuses_an_unchecked_bad_sequence_and_changes_nothing(build, err
 def test_an_invalid_rule_output_fails_when_its_function_is_read():
     # Named in the ids of the working copy the rule finished, not the
     # canonical ones (its b40 is canonical b3).
-    out = from_function(_undominated(), checked=False)
+    out = from_function(_undominated())
     for _ in range(2):  # a failed build is not kept
         with pytest.raises(ValueError, match=r"invalid function @f: b40: use of v1 not dominated"):
             out.function
@@ -413,14 +426,14 @@ def test_every_stored_sequence_is_valid_and_analyzed():
     functions = list(load_corpus().values())
     functions += [random_function(random.Random(seed)) for seed in range(200)]
     for f in functions:
-        p = EPath(from_function(f, checked=False))
+        p = EPath(from_function(f))
         _stored_is_checked(p.sequence(p.seed))
         work = [p.seed]
         while work:
             digest = work.pop()
             seq = p.sequence(digest)
             for rule in RULES:
-                for out in rule.apply(seq, analyze(seq)):
+                for out in rule.apply(seq):
                     if p.insert(out, RewriteEdge(digest, out.digest, rule.name)):
                         _stored_is_checked(out)
                         work.append(out.digest)
@@ -537,7 +550,7 @@ def _block_count_rule(footprint):
     """Sets each constant to the function's block count; `footprint(f, b)` is
     the footprint it declares for block `b` of `f`."""
 
-    def apply(s, analyses):
+    def apply(s):
         f = s.function
         out = []
         for b in f.blocks:
@@ -548,7 +561,7 @@ def _block_count_rule(footprint):
                     for x in f.blocks
                 )
                 edited = Function("s", f.params, f.entry, blocks)
-                make = lambda edited=edited: from_function(edited, checked=False)  # noqa: E731
+                make = lambda edited=edited: from_function(edited)  # noqa: E731
                 out.append(ESequence(make, ("count", b.id), frozenset(footprint(f, b))))
         return out
 
@@ -573,8 +586,8 @@ def test_a_footprint_that_leaves_out_a_read_block_fails_the_audit():
 def test_outputs_without_a_site_are_never_predicted():
     f = _fold_chain(3)
     untracked = [
-        RewriteRule(rule.name, lambda s, a, rule=rule: [
-            from_function(out.function, checked=False) for out in rule.apply(s, a)
+        RewriteRule(rule.name, lambda s, rule=rule: [
+            from_function(out.function) for out in rule.apply(s)
         ])
         for rule in RULES
     ]
@@ -603,7 +616,7 @@ def test_disjoint_footprints_meet_at_one_target(saturated, perfbench_workloads):
             for e in p.edges:
                 targets.setdefault(e.source, set()).add(e.target)
             for s in p.variants():
-                outs = [out for rule in RULES for out in rule.apply(s, analyze(s))]
+                outs = [out for rule in RULES for out in rule.apply(s)]
                 for i, a in enumerate(outs):
                     for b in outs[i + 1:]:
                         if a.footprint.isdisjoint(b.footprint) and a.digest != b.digest:

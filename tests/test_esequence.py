@@ -9,6 +9,7 @@ from epathopt import (
     Function,
     IrreducibleError,
     Ret,
+    analyze,
     canonical_hash,
     dominators,
     find_back_edges,
@@ -124,9 +125,12 @@ def test_from_function_rejects_invalid():
 
 
 def test_from_function_rejects_irreducible():
+    # `from_function` only canonicalizes; the sequence's analyses reject it.
     f = parse_function((corpus_paths()[0].parent / "reject" / "irreducible.ir").read_text())
+    s = from_function(f)
+    assert "function" not in vars(s)
     with pytest.raises(IrreducibleError):
-        from_function(f)
+        analyze(s)
 
 
 def _branch_chain(rng, n):
@@ -162,8 +166,10 @@ def test_irreducible_edge_is_named_in_the_functions_own_ids():
     for f in graphs:
         with pytest.raises(IrreducibleError) as expected:
             find_back_edges(f)
+        s = from_function(f)
+        assert "function" not in vars(s)
         with pytest.raises(IrreducibleError) as raised:
-            from_function(f)
+            analyze(s)
         assert raised.value.edge == expected.value.edge, print_function(f)
         assert str(raised.value) == str(expected.value)
 
@@ -199,7 +205,7 @@ def _closure_and_outputs(f, rules):
     p = EPath(from_function(f))
     saturate(p, rules)
     variants = p.variants()
-    outputs = [out for s in variants for rule in rules for out in rule.apply(s, s.analyses)]
+    outputs = [out for s in variants for rule in rules for out in rule.apply(s)]
     return variants + outputs
 
 
@@ -255,6 +261,8 @@ def test_parsed_irreducible_function_names_its_own_edge():
         f = parse_function(print_function(irreducible_function(rng, name=f"irr{i}")))
         expected = brute_irreducible_edge(f)
         assert expected is not None
+        s = from_function(f)
+        assert "function" not in vars(s)
         with pytest.raises(IrreducibleError) as raised:
-            from_function(f)
+            analyze(s)
         assert raised.value.edge == expected, print_function(f)

@@ -8,6 +8,7 @@ from epathopt import (
     EPath,
     ExprPattern,
     Function,
+    IrreducibleError,
     Jump,
     PatOp,
     PatVar,
@@ -109,6 +110,39 @@ def test_match_completeness_small_sequences(pattern, corpus):
             continue
         s = from_function(f)
         assert match_expression(pattern, s) == brute_matches(pattern, s), name
+
+    # Matching needs no reducibility: a valid function whose b3 enters the
+    # b4-b5 cycle twice matches every pattern, and is never analyzed.
+    s = from_function(parse_function(IRREDUCIBLE_MATCHES))
+    matches = match_expression(pattern, s)
+    assert matches and matches == brute_matches(pattern, s)
+    assert "analyses" not in vars(s)
+    with pytest.raises(IrreducibleError):
+        analyze(s)
+
+
+IRREDUCIBLE_MATCHES = """func @irr(v0) {
+b0(v0):
+  v1 = iconst 2
+  jump b1()
+b1():
+  v2 = iconst 3
+  jump b2()
+b2():
+  v3 = iadd v1, v2
+  jump b3()
+b3():
+  v4 = imul v1, v0
+  brif v0, b4(), b5()
+b4():
+  v5 = imul v4, v2
+  brif v5, b5(), b6()
+b5():
+  v6 = icmp_slt v3, v0
+  brif v6, b4(), b6()
+b6():
+  ret v4
+}"""
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +395,7 @@ def test_fold_matches_interpreter_fuzz():
 
 def test_broken_rule_changes_semantics():
     s = seq_of("straightline_consts.ir")
-    (variant,) = RULES["broken"].apply(s, analyze(s))
+    (variant,) = RULES["broken"].apply(s)
     original = interpret(to_function(s), [], 100)
     mutated = interpret(to_function(variant), [], 100)
     assert original != mutated
@@ -380,7 +414,7 @@ def test_rules_on_random_functions_stay_valid_and_equivalent():
         f = random_function(rng, max_blocks=10, name=f"g{i}")
         s = from_function(f)
         for rule in rules:
-            outs = rule.apply(s, analyze(s))
+            outs = rule.apply(s)
             if not outs:
                 continue
             checked += len(outs)
@@ -420,13 +454,13 @@ def test_broken_rule_has_nothing_to_bump_without_a_constant():
 def test_working_copy_canonicalizes_like_its_finished_function():
     f = load_corpus()["sec2_loop.ir"]
     ed = _Editor(f)
-    assert from_function(ed.finish(), checked=False) == from_function(ed.finish())
+    assert from_function(ed.finish()) == from_function(ed.finish())
 
     # An invalid working copy is reported with the violations of its
     # finished function.
     ed.set_terminator(f.entry, Ret((99,)))
     with pytest.raises(ValueError, match="use of undefined value v99"):
-        from_function(ed.finish(), checked=False)
+        from_function(ed.finish())
 
 
 def test_licm_merge_block_values_are_fresh_past_hoisted_results():
@@ -454,7 +488,9 @@ def _assert_preds_current(ed):
 
 
 def _snapshot(f):
-    """`f`'s predecessor lists, deep-copied, and its blocks as looked up by id."""
+    """A deep copy of `f`'s predecessor map, which `_Editor.preds` reads but
+    must never write into, and `f`'s blocks as looked up by id, which no edit
+    may replace."""
     return {bid: list(ps) for bid, ps in f.preds.items()}, [f.block(b.id) for b in f.blocks]
 
 
@@ -465,8 +501,9 @@ def test_editor_predecessors_stay_current_through_splices_and_hoists():
         f = random_function(rng, max_blocks=12, name=f"g{i}")
         s = from_function(f)
         analyses = analyze(s)
-        # The working copy shares the source's blocks and predecessor lists;
-        # no edit may change them.
+        # The working copy starts from the source's blocks and derives its
+        # predecessors from the source's map: `preds` never writes into that
+        # map, and no edit changes the source's blocks.
         sources = (f, analyses.function)
         before = [_snapshot(g) for g in sources]
         # Rules start from the canonical function's cached map.
@@ -483,7 +520,7 @@ def test_editor_predecessors_stay_current_through_splices_and_hoists():
         for loop in analyses.loops:
             split = classify_invariance(loop, s, analyses)
             if split.invariant_blocks:
-                _assert_preds_current(_hoist(analyses, loop, split))
+                _assert_preds_current(_hoist(analyses.function, loop, split))
                 assert [_snapshot(g) for g in sources] == before
                 hoisted += 1
     assert spliced >= 300 and hoisted >= 30, (spliced, hoisted)
@@ -506,7 +543,7 @@ def test_match_patterns_equal_brute_matches_per_pattern():
     for f in functions:
         for s in closure(f):
             for table, counts in found.items():
-                for i, (pat, matches) in enumerate(zip(table, _match_patterns(table, s.analyses))):
+                for i, (pat, matches) in enumerate(zip(table, _match_patterns(table, s.function))):
                     assert matches == brute_matches(pat, s), (pat, print_function(to_function(s)))
                     counts[i] += len(matches)
     assert sum(found[_CONSTFOLD]) >= 100, found
@@ -525,9 +562,9 @@ def _edited_functions(monkeypatch):
     edited = []
     original = rewrite.from_function
 
-    def recorded(f, **kwargs):
+    def recorded(f):
         edited.append(f)
-        return original(f, **kwargs)
+        return original(f)
 
     monkeypatch.setattr(rewrite, "from_function", recorded)
     return edited
@@ -536,7 +573,7 @@ def _edited_functions(monkeypatch):
 def test_outputs_are_built_on_first_read(monkeypatch):
     edited = _edited_functions(monkeypatch)
     s = from_function(load_corpus()["diamond_consts.ir"])
-    outs = apply_const_fold(s, analyze(s))
+    outs = apply_const_fold(s)
     assert len(outs) == 2 and edited == []
     digest = outs[1].digest
     assert len(edited) == 1
@@ -552,17 +589,17 @@ def test_output_sites_name_the_rewritten_block(corpus):
                 loop for loop in analyses.loops
                 if classify_invariance(loop, s, analyses).invariant_blocks
             ]
-            assert [out.site for out in apply_licm(s, analyses)] == [
+            assert [out.site for out in apply_licm(s)] == [
                 ("licm", loop.header) for loop in hoisting
             ]
-            sites = [out.site for out in apply_const_fold(s, analyses)]
+            sites = [out.site for out in apply_const_fold(s)]
             roots = [
                 def_use(analyses.function)[m["root"]][0].block
-                for ms in _match_patterns(_CONSTFOLD, analyses)
+                for ms in _match_patterns(_CONSTFOLD, analyses.function)
                 for m in ms
             ]
             assert sites == [("constfold", root) for root in roots]
-            assert all(out.site is None for out in apply_broken(s, analyses))
+            assert all(out.site is None for out in apply_broken(s))
 
 
 def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch, saturated):
@@ -586,7 +623,7 @@ def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch, saturated)
     for s in sequences:
         source = s.function
         for rule in rules_named(["licm", "constfold"]):
-            for out in rule.apply(s, analyze(s)):
+            for out in rule.apply(s):
                 edited.clear()
                 editors.clear()
                 out.digest
@@ -625,10 +662,10 @@ def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch):
     expected = []
     constfold = RULES["constfold"].apply
 
-    def counted(s, analyses=None):
-        outs = constfold(s, analyses)
+    def counted(s):
+        outs = constfold(s)
         if outs:
-            f = (analyses or analyze(s)).function
+            f = s.function
             expected.extend(v for b in f.blocks for v in (*b.params, *b.instructions))
         return outs
 

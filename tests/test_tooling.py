@@ -6,6 +6,7 @@ benchmark's inputs to the ones its newest record was taken on."""
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 import types
 from pathlib import Path
@@ -94,6 +95,32 @@ def test_only_ir_reads_the_terminators_fields():
         assert not read, f"{path.name} reads {sorted(read)}"
 
 
+def test_rules_read_only_their_sequence_and_from_function_has_one_mode():
+    # A rule reads everything through the one sequence it is given, which
+    # caches its analyses, and `EPath` is the one place a sequence is checked:
+    # only `classify_invariance` still takes analyses (for a caller's own),
+    # no call passes `checked=`, and every rule's `apply` takes one argument.
+    package = Path(cli.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    takes_analyses = [
+        f"{path.name}: {node.name}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name != "classify_invariance"
+        and "analyses" in {a.arg for a in (*node.args.args, *node.args.kwonlyargs)}
+    ]
+    assert not takes_analyses, takes_analyses
+    passes_checked = [
+        f"{path.name}:{node.lineno}"
+        for path in sources + sorted(Path(__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.keyword) and node.arg == "checked"
+    ]
+    assert not passes_checked, passes_checked
+    for name, rule in rewrite.RULES.items():
+        assert len(inspect.signature(rule.apply).parameters) == 1, name
+
+
 def test_every_module_level_private_name_is_read_in_src():
     # A private function, class or constant that no code in the package reads
     # is dead, or kept only for the tests. Loads are counted in the syntax
@@ -160,13 +187,13 @@ def test_tracer_style_wrapping_keeps_the_squares(monkeypatch, corpus):
     built = []
     original = rewrite.from_function
 
-    def counted(f, **kwargs):
+    def counted(f):
         built.append(f)
-        return original(f, **kwargs)
+        return original(f)
 
     monkeypatch.setattr(rewrite, "from_function", counted)
     plain = rewrite.rules_named(["licm", "constfold"])
-    wrapped = [rewrite.RewriteRule(r.name, lambda s, a, r=r: r.apply(s, a)) for r in plain]
+    wrapped = [rewrite.RewriteRule(r.name, lambda s, r=r: r.apply(s)) for r in plain]
     predicted = 0
     for name, f in corpus.items():
         runs = []
