@@ -2,7 +2,8 @@
 that validation's one solve leaves on a `Function`), back edges and natural
 loops, built on the CFG walks a `Function` keeps (`rpo`, `preds`); and
 `def_use`, the def-use chains, built only when called (no stored variant
-keeps them).
+keeps them): constant folding calls it for its feeders' uses, and reads
+where each value is defined from the function's `defs`.
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -199,8 +200,9 @@ class Analyses:
     """The CFG facts of one function that rewrites and cost evaluation share.
 
     Read-only: `ESequence.analyses` caches one bundle per sequence. It holds
-    only what it computes; the walks `rpo` and `preds` are read off
-    `function`, and a rule that needs def-use chains calls `def_use`.
+    only what it computes; the walks `rpo` and `preds` and the definition
+    map `defs` are read off `function`, and the one rule that needs uses,
+    constant folding, calls `def_use`.
     """
 
     function: Function

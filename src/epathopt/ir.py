@@ -111,7 +111,10 @@ class Block:
 
 @dataclass(frozen=True)
 class Function:
-    """A control-flow graph; `params` mirrors the entry block's params."""
+    """A control-flow graph; `params` mirrors the entry block's params. It
+    keeps, each built on first read, the facts every layer shares: its
+    validation verdict, its reverse postorder, its predecessor lists and
+    its definition map."""
 
     name: str
     params: tuple[ValueId, ...]
@@ -159,6 +162,16 @@ class Function:
     def preds(self) -> dict[BlockId, list[BlockId]]:
         """`predecessors`, walked on first use and kept; read-only."""
         return predecessors(self)
+
+    @cached_property
+    def defs(self) -> dict[ValueId, BlockId]:
+        """The block that defines each value, by a block parameter or an
+        instruction result: one scan of the blocks on first use, kept and
+        read-only. In SSA each value has one definition, so this is the one
+        value-to-definition map the rules read."""
+        defs = {v: b.id for b in self.blocks for v in b.params}
+        defs.update({i.result: b.id for b in self.blocks for i in b.instructions})
+        return defs
 
 
 @dataclass(frozen=True)

@@ -124,28 +124,28 @@ def match_expression(pat: ExprPattern, s: ESequence) -> list[dict[str, int]]:
 
 def _match_patterns(patterns: tuple[ExprPattern, ...], f: Function) -> list[list[dict[str, int]]]:
     """`match_expression` of each pattern over a sequence's function `f`, in
-    one scan of its blocks, which are in reverse postorder: an instruction is
-    tried against the patterns rooted at its opcode, and an operand is
-    followed to its defining instruction, which dominates it and so was
-    scanned before it."""
+    one scan of its blocks: an instruction is tried against the patterns
+    rooted at its opcode, and an operand is followed to its defining
+    instruction through `f.defs`, so the scan order fixes only the order of
+    the matches."""
     by_root: dict[str, list[tuple[ExprPattern, list]]] = {}
     found: list[list[dict[str, int]]] = [[] for _ in patterns]
     for pat, matches in zip(patterns, found):
         by_root.setdefault(pat.tree.opcode, []).append((pat, matches))
-    defining: dict[ValueId, Instruction] = {}
     for b in f.blocks:
         for instr in b.instructions:
-            defining[instr.result] = instr
             for pat, matches in by_root.get(instr.opcode, ()):
                 bindings = [(pat.root, instr.result)]
-                if _match_node(pat.tree, instr, defining, bindings):
+                if _match_node(pat.tree, instr, f, bindings):
                     matches.append(dict(bindings))
     return found
 
 
-def _match_node(p: PatOp, instr: Instruction, defining: dict, bindings: list) -> bool:
-    """Whether `instr`, which has `p`'s opcode, matches `p`; an operand's
-    defining instruction is checked for its opcode before the walk goes in."""
+def _match_node(p: PatOp, instr: Instruction, f: Function, bindings: list) -> bool:
+    """Whether `instr`, which has `p`'s opcode, matches `p`. An operand's
+    defining instruction is the one in its block in `f.defs` whose result it
+    is (a block parameter defines none); its opcode is checked before the
+    walk goes in."""
     if isinstance(p.imm, str):
         bindings.append((p.imm, instr.imm))
     elif p.imm is not None and instr.imm != p.imm:
@@ -154,8 +154,10 @@ def _match_node(p: PatOp, instr: Instruction, defining: dict, bindings: list) ->
         if type(sub) is PatVar:
             bindings.append((sub.name, operand))
             continue
-        d = defining.get(operand)  # a block parameter defines no instruction
-        if d is None or d.opcode != sub.opcode or not _match_node(sub, d, defining, bindings):
+        d = f.block(f.defs[operand]).instruction
+        if d is None or d.result != operand or d.opcode != sub.opcode:
+            return False
+        if not _match_node(sub, d, f, bindings):
             return False
     return True
 
@@ -174,17 +176,12 @@ def classify_invariance(
 ) -> LicmSplit:
     """A block is invariant iff its instruction is pure and every operand is
     defined outside the loop or by an invariant instruction inside it. In
-    SSA each value has one definition, so two value sets decide an operand:
-    the values the body's blocks define, and the results found invariant so
-    far. One pass in reverse postorder decides every block: a definition
-    dominates its uses, so its block comes first. Both tuples list blocks in
-    ascending id."""
+    SSA each value has one definition, so an operand is decided by the block
+    that defines it, read from `f.defs`, and one value set, the results
+    found invariant so far. One pass in reverse postorder decides every
+    block: a definition dominates its uses, so its block comes first. Both
+    tuples list blocks in ascending id."""
     f = (analyses or analyze(s)).function
-    inside: set[ValueId] = set()
-    for bid in loop.body:
-        b = f.block(bid)
-        inside.update(b.params, (instr.result for instr in b.instructions))
-
     invariant: list[BlockId] = []
     variant: list[BlockId] = []
     hoisted: set[ValueId] = set()
@@ -193,7 +190,7 @@ def classify_invariance(
         if not instr:
             continue
         if instr.opcode not in IMPURE_OPCODES and all(
-            v not in inside or v in hoisted for v in instr.operands
+            f.defs[v] not in loop.body or v in hoisted for v in instr.operands
         ):
             hoisted.add(instr.result)
             invariant.append(bid)
@@ -231,13 +228,11 @@ class _Editor:
         return self._next_block - 1
 
     def fresh_value(self) -> ValueId:
-        # Numbered past the source's values, not the edited blocks': LICM
-        # detaches the instructions it hoists before it asks for fresh ids.
+        # Numbered past every value the source's definition map holds, not
+        # the edited blocks': LICM detaches the instructions it hoists before
+        # it asks for fresh ids.
         if self._next_value is None:
-            f = self._source
-            defined = [v for b in f.blocks for v in b.params]
-            defined += [b.instruction.result for b in f.blocks if b.instruction]
-            self._next_value = max(defined, default=-1) + 1
+            self._next_value = max(self._source.defs, default=-1) + 1
         self._next_value += 1
         return self._next_value - 1
 
@@ -393,8 +388,9 @@ def apply_const_fold(s: ESequence) -> list[ESequence]:
     ordered by pattern, then by block: the matched block, the site, becomes
     `iconst fold_constants(op, a, b)`, and dead constant feeders are
     straightened out of the block chain where `_Editor.try_splice` allows
-    it. It reads `s.function` only; the def-use chains that `_fold` reads
-    are built once, and only when some pattern matched."""
+    it. It reads `s.function` only: `_fold` reads each definition's block
+    from `f.defs`, and the feeders' uses from the def-use chains, which are
+    built once, and only when some pattern matched."""
     f = s.function
     found = _match_patterns(_CONSTFOLD, f)
     chains = def_use(f) if any(found) else {}
@@ -402,21 +398,22 @@ def apply_const_fold(s: ESequence) -> list[ESequence]:
 
 
 def _fold(f: Function, chains: dict, p: ExprPattern, m: dict[str, int]) -> ESequence:
-    """The output that folds `m`, read off the function's def-use `chains`;
-    a feeder read only by the folded instruction is dead, and its block is
-    spliced out unless the splice is refused. The footprint holds the root,
-    each feeder's definition and uses, and each dead block's predecessors
-    and targets."""
-    root = chains[m["root"]][0].block
+    """The output that folds `m`. The root's and each feeder's block are read
+    from `f.defs`, a feeder's uses from the def-use `chains`; a feeder read
+    only by the folded instruction is dead, and its block is spliced out
+    unless the splice is refused. The footprint holds the root, each
+    feeder's definition and uses, and each dead block's predecessors and
+    targets."""
+    root = f.defs[m["root"]]
     footprint = {root}
     dead = []
     for feeder in dict.fromkeys(f.block(root).instruction.operands):
-        site, uses = chains[feeder]
-        footprint.update(u.block for u in (site, *uses))
+        block, uses = f.defs[feeder], chains[feeder][1]
+        footprint.update((block,), (u.block for u in uses))
         if all(isinstance(u, InstrUse) and u.block == root for u in uses):
-            dead.append(site.block)
-            footprint.update(f.preds[site.block])
-            footprint.update(_targets(f.block(site.block).terminator))
+            dead.append(block)
+            footprint.update(f.preds[block])
+            footprint.update(_targets(f.block(block).terminator))
     folded = Instruction("iconst", m["root"], (), fold_constants(p.tree.opcode, m["a"], m["b"]))
     return _output(("constfold", root), footprint, partial(_fold_at, f, root, folded, dead))
 
@@ -436,13 +433,13 @@ def _fold_at(f: Function, root: BlockId, folded: Instruction, dead: list) -> _Ed
 def apply_broken(s: ESequence) -> list[ESequence]:
     """Unsound on purpose: bumps the first constant it finds. Exists so the
     differential checker has something to catch. Which constant is first
-    depends on every block before it, so the output has no site."""
+    depends on every block before it, so the output has no site. The edit
+    is a fold that splices nothing."""
     for b in s.blocks:
         instr = b.instruction
         if instr and instr.opcode == "iconst":
-            ed = _Editor(s.function)
-            ed.set_instruction(b.id, Instruction("iconst", instr.result, (), wrap64(instr.imm + 1)))
-            return [from_function(ed.finish())]
+            bumped = Instruction("iconst", instr.result, (), wrap64(instr.imm + 1))
+            return [_output(None, (), partial(_fold_at, s.function, b.id, bumped, ()))]
     return []
 
 

@@ -382,7 +382,7 @@ def _assert_named_in_own_ids(f, exc):
 
 
 @pytest.mark.parametrize("build, error, message", UNTRUSTED)
-def test_epath_refuses_an_unchecked_bad_seed(build, error, message):
+def test_epath_refuses_a_bad_seed(build, error, message):
     s = from_function(build())
     with pytest.raises(error, match=message) as raised:
         EPath(s)
@@ -393,7 +393,7 @@ def test_epath_refuses_an_unchecked_bad_seed(build, error, message):
 
 
 @pytest.mark.parametrize("build, error, message", UNTRUSTED)
-def test_insert_refuses_an_unchecked_bad_sequence_and_changes_nothing(build, error, message):
+def test_insert_refuses_a_bad_sequence_and_changes_nothing(build, error, message):
     p = EPath(seed_of("sec2_loop.ir"))
     saturate(p, RULES)
     before = (len(p), p.digests(), p.edges)
@@ -415,7 +415,7 @@ def test_an_invalid_rule_output_fails_when_its_function_is_read():
             out.function
 
 
-def _stored_is_checked(s):
+def _stored_is_analyzed(s):
     assert "analyses" in vars(s)
     assert validate(s.function) == []
 
@@ -427,7 +427,7 @@ def test_every_stored_sequence_is_valid_and_analyzed():
     functions += [random_function(random.Random(seed)) for seed in range(200)]
     for f in functions:
         p = EPath(from_function(f))
-        _stored_is_checked(p.sequence(p.seed))
+        _stored_is_analyzed(p.sequence(p.seed))
         work = [p.seed]
         while work:
             digest = work.pop()
@@ -435,7 +435,7 @@ def test_every_stored_sequence_is_valid_and_analyzed():
             for rule in RULES:
                 for out in rule.apply(seq):
                     if p.insert(out, RewriteEdge(digest, out.digest, rule.name)):
-                        _stored_is_checked(out)
+                        _stored_is_analyzed(out)
                         work.append(out.digest)
 
 

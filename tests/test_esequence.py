@@ -124,7 +124,7 @@ def test_from_function_rejects_invalid():
         from_function(broken)
 
 
-def test_from_function_rejects_irreducible():
+def test_analyze_rejects_an_irreducible_sequence():
     # `from_function` only canonicalizes; the sequence's analyses reject it.
     f = parse_function((corpus_paths()[0].parent / "reject" / "irreducible.ir").read_text())
     s = from_function(f)

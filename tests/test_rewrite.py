@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -32,9 +33,16 @@ from epathopt import (
     saturate,
     to_function,
 )
-from epathopt.ir import predecessors, render_block
+from epathopt.ir import predecessors, render_block, render_function
 from epathopt.rewrite import _CONSTFOLD, _Editor, _hoist, _match_patterns, apply_broken
-from conftest import argument_vectors, assert_all_equivalent, closure, golden, load_corpus
+from conftest import (
+    argument_vectors,
+    assert_all_equivalent,
+    closure,
+    golden,
+    load_corpus,
+    saturated_path,
+)
 from generators import random_function
 from oracles import brute_matches, fixpoint_invariance
 
@@ -682,3 +690,81 @@ def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch):
         assert len(built) == len(expected), f.name
         folded += len(expected) > before
     assert folded >= 2
+
+
+# ---------------------------------------------------------------------------
+# The definition map
+
+
+def _defined(f):
+    return [v for b in f.blocks for v in (*b.params, *(i.result for i in b.instructions))]
+
+
+def _sparse_parsed_functions():
+    """The corpus and 50 random functions, each renamed to sparse, shuffled
+    block and value ids, printed with its blocks after the entry in
+    shuffled order, and parsed back."""
+    rng = random.Random(0xDEF5)
+    functions = list(load_corpus().values())
+    functions += [random_function(rng, max_blocks=12) for _ in range(50)]
+    parsed = []
+    for f in functions:
+        values, blocks = _defined(f), [b.id for b in f.blocks]
+        g = remap(
+            f,
+            dict(zip(values, rng.sample(range(5 * len(values)), len(values)))),
+            dict(zip(blocks, rng.sample(range(5 * len(blocks)), len(blocks)))),
+        )
+        rest = [b for b in g.blocks if b.id != g.entry]
+        order = [g.block(g.entry), *rng.sample(rest, len(rest))]
+        parsed.append(parse_function(render_function(g.name, g.params, order)))
+    return parsed
+
+
+def test_defs_name_the_block_def_use_names(saturated):
+    functions = [f for f, _ in saturated.values()]
+    functions += [s.function for _, path in saturated.values() for s in path.variants()]
+    sparse = _sparse_parsed_functions()
+    assert sum(_defined(f) != sorted(_defined(f)) for f in sparse) >= 40
+    assert sum([b.id for b in f.blocks] != sorted(b.id for b in f.blocks) for f in sparse) >= 40
+    for f in functions + sparse:
+        assert f.defs == {v: site.block for v, (site, _) in def_use(f).items()}, f.name
+
+
+def test_fresh_values_start_one_past_the_largest_value_id():
+    for f in _sparse_parsed_functions():
+        ed = _Editor(f)
+        top = max(_defined(f), default=-1)
+        assert [ed.fresh_value(), ed.fresh_value()] == [top + 1, top + 2], f.name
+
+
+def test_each_stored_variant_builds_its_definition_map_at_most_once(
+    monkeypatch, perfbench_workloads
+):
+    # The cached property calls its `func` on each build, so counting there
+    # keeps the caching under test.
+    built = []
+    defs = Function.__dict__["defs"]
+    assert isinstance(defs, cached_property)
+    scan = defs.func
+
+    def counted(f):
+        built.append(f)
+        return scan(f)
+
+    monkeypatch.setattr(defs, "func", counted)
+    inputs = list(load_corpus().values())
+    inputs += [
+        parse_function(case.text)
+        for workload in ("folds", "loops")
+        for case in perfbench_workloads.generate(workload, 1)
+    ]
+    total = 0
+    for f in inputs:
+        built.clear()
+        path = saturated_path(f)
+        stored = {id(s.function) for s in path.variants()}
+        ids = [id(g) for g in built]
+        assert len(set(ids)) == len(ids) and set(ids) <= stored, f.name
+        total += len(ids)
+    assert total >= 640, total
