@@ -1,9 +1,11 @@
-"""Classical CFG analyses: dominators (read off the immediate dominators
-that validation's one solve leaves on a `Function`), back edges and natural
-loops, built on the CFG walks a `Function` keeps (`rpo`, `preds`); and
-`def_use`, the def-use chains, built only when called (no stored variant
-keeps them): constant folding calls it for its feeders' uses, and reads
-where each value is defined from the function's `defs`.
+"""Classical CFG analyses: back edges and natural loops, built on the CFG
+walks a `Function` keeps (`rpo`, `preds`) and on the one dominance form,
+the reverse-postorder positions of the immediate dominators that
+validation's one solve leaves on it (`idom_positions`), compared by
+position; `dominators`, the `{block: idom}` map, for callers that want
+one; and `def_use`, the def-use chains, built only when called (no stored
+variant keeps them): constant folding calls it for its feeders' uses, and
+reads where each value is defined from the function's `defs`.
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -74,69 +76,76 @@ DefSite = ParamDef | InstrDef
 UseSite = InstrUse | TermUse
 
 
-def dominators(f: Function) -> dict[BlockId, BlockId]:
-    """Immediate dominators, read off `f.idom_positions`, which the one solve
-    of `f`'s validation yields (run now if `f` is not checked yet); the map
-    lists the blocks in reverse postorder, and the entry block maps to
-    itself. Raises ValueError listing the violations when validation stops
-    before its solve (a duplicate or negative block id, an undefined entry,
-    a jump to an undefined block).
-    """
+def _idoms(f: Function) -> tuple[int, ...]:
+    """`f.idom_positions`, which the one solve of `f`'s validation yields
+    (run now if `f` is not checked yet). Raises ValueError listing the
+    violations when validation stops before its solve (a duplicate or
+    negative block id, an undefined entry, a jump to an undefined block)."""
     if (idoms := f.idom_positions) is None:
         raise ValueError(f"invalid function @{f.name}: " + "; ".join(f.violations))
+    return idoms
+
+
+def dominators(f: Function) -> dict[BlockId, BlockId]:
+    """Immediate dominators, read off `f.idom_positions`; the map lists the
+    blocks in reverse postorder, and the entry block maps to itself. Raises
+    ValueError listing the violations when validation stops before its
+    solve. Nothing in saturation calls it: the analyses compare positions."""
+    idoms = _idoms(f)
     rpo = f.rpo
     return {bid: rpo[i] for bid, i in zip(rpo, idoms)}
 
 
-def dominates(idom: dict[BlockId, BlockId], a: BlockId, b: BlockId) -> bool:
-    """Whether a dominates b under the given immediate-dominator map."""
-    while True:
-        if a == b:
-            return True
-        parent = idom[b]
-        if parent == b:
-            return False
-        b = parent
+def _dominates(idoms: tuple[int, ...], i: int, j: int) -> bool:
+    """Whether the block at reverse-postorder position i dominates the one
+    at j. An immediate dominator always comes earlier in reverse postorder,
+    so j's dominator chain is climbed only while it is later than i."""
+    while j > i:
+        j = idoms[j]
+    return j == i
 
 
 def find_back_edges(f: Function) -> set[tuple[BlockId, BlockId]]:
-    """Every edge whose target dominates its source.
+    """Every edge whose target dominates its source: the union of the
+    loops' back edges.
 
     Raises IrreducibleError if some retreating edge is not such a back edge,
     naming the offending edge.
     """
-    return Analyses.compute(f).back_edges
+    return {e for loop in Analyses.compute(f).loops for e in loop.back_edges}
 
 
-def _back_edges(f: Function, idom: dict[BlockId, BlockId]) -> set[tuple[BlockId, BlockId]]:
+def _back_edges(f: Function, idoms: tuple[int, ...]) -> set[tuple[BlockId, BlockId]]:
     """Back edges read off reverse postorder: an edge is retreating when its
-    target's index is at most its source's, and every retreating edge of a
-    reducible graph targets a dominator of its source."""
+    target's position is at most its source's, and every retreating edge of
+    a reducible graph targets a dominator of its source."""
     index = {bid: i for i, bid in enumerate(f.rpo)}
     edges = set()
-    for src in f.rpo:
+    for i, src in enumerate(f.rpo):
         for dst in successors(f, src):
-            if index[dst] <= index[src]:
-                if not dominates(idom, dst, src):
-                    raise IrreducibleError(_dfs_irreducible_edge(f, idom) or (src, dst))
+            if (j := index[dst]) <= i:
+                if not _dominates(idoms, j, i):
+                    raise IrreducibleError(_dfs_irreducible_edge(f, idoms, index))
                 edges.add((src, dst))
     return edges
 
 
 def _dfs_irreducible_edge(
-    f: Function, idom: dict[BlockId, BlockId]
-) -> tuple[BlockId, BlockId] | None:
+    f: Function, idoms: tuple[int, ...], index: dict[BlockId, int]
+) -> tuple[BlockId, BlockId]:
     """The first retreating edge of a terminator-order DFS that does not
-    target a dominator. Run only once the graph is known to be irreducible,
-    so error messages name the same edge whatever the RPO tie-breaking."""
+    target a dominator, so error messages name the same edge whatever the
+    RPO tie-breaking. Run only once the reverse-postorder DFS has met such
+    an edge: then every DFS meets one (Hecht and Ullman), so the search
+    always ends with an edge."""
     on_stack = {f.entry}
     visited = {f.entry}
     stack: list[tuple[BlockId, list[BlockId]]] = [(f.entry, successors(f, f.entry))]
-    while stack:
+    while True:
         bid, pending = stack[-1]
         while pending:
             nxt = pending.pop(0)
-            if nxt in on_stack and not dominates(idom, nxt, bid):
+            if nxt in on_stack and not _dominates(idoms, index[nxt], index[bid]):
                 return bid, nxt
             if nxt not in visited:
                 visited.add(nxt)
@@ -146,16 +155,16 @@ def _dfs_irreducible_edge(
         else:
             on_stack.discard(bid)
             stack.pop()
-    return None
 
 
 def natural_loop(f: Function, back_edge: tuple[BlockId, BlockId]) -> LoopRegion:
-    """The loop of the given back edge; all back edges into the same header
-    contribute to one merged region."""
-    analyses = Analyses.compute(f)
-    if back_edge not in analyses.back_edges:
-        raise ValueError(f"{back_edge} is not a back edge of @{f.name}")
-    return next(loop for loop in analyses.loops if loop.header == back_edge[1])
+    """The loop whose back edges hold the given edge; all back edges into
+    the same header contribute to one merged region. Raises ValueError for
+    an edge that is not a back edge."""
+    for loop in Analyses.compute(f).loops:
+        if back_edge in loop.back_edges:
+            return loop
+    raise ValueError(f"{back_edge} is not a back edge of @{f.name}")
 
 
 def _natural_loop(
@@ -197,29 +206,29 @@ def def_use(f: Function) -> dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]:
 
 @dataclass(frozen=True)
 class Analyses:
-    """The CFG facts of one function that rewrites and cost evaluation share.
+    """The CFG facts of one function that rewrites and cost evaluation share:
+    the function itself and its natural loops.
 
     Read-only: `ESequence.analyses` caches one bundle per sequence. It holds
     only what it computes; the walks `rpo` and `preds` and the definition
-    map `defs` are read off `function`, and the one rule that needs uses,
-    constant folding, calls `def_use`.
+    map `defs` are read off `function`, the back edges are the loops'
+    `back_edges`, and the one rule that needs uses, constant folding, calls
+    `def_use`.
     """
 
     function: Function
-    idom: dict[BlockId, BlockId]
-    back_edges: set[tuple[BlockId, BlockId]]
     loops: list[LoopRegion]
 
     @classmethod
     def compute(cls, f: Function) -> "Analyses":
-        """One pass: dominators read off the positions `f`'s validation keeps
-        (called by this module's global name, so a wrapper put there counts
-        them), back edges and loops read off them. A canonical function
-        inherits those positions and `rpo` from its source, so it is neither
-        walked nor solved here, and no def-use chain is built. Raises
-        IrreducibleError, or ValueError as `dominators` does."""
-        idom = dominators(f)
-        back = _back_edges(f, idom)
+        """One pass: back edges checked against the dominator positions `f`'s
+        validation keeps, compared as reverse-postorder positions with no
+        `{block: idom}` map built, and loops read off the back edges. A
+        canonical function inherits those positions and `rpo` from its
+        source, so it is neither walked nor solved here, and no def-use chain
+        is built. Raises IrreducibleError, or ValueError as `dominators`
+        does."""
+        back = _back_edges(f, _idoms(f))
         loops = [_natural_loop(f, h, back) for h in sorted({t for _, t in back})]
         loops.sort(key=lambda r: (-len(r.body), r.header))
-        return cls(f, idom, back, loops)
+        return cls(f, loops)

@@ -74,10 +74,18 @@ def argument_vectors(n_params: int, count: int = ORACLE_VECTORS) -> list[list[in
     return [[rng.randrange(-100, 101) for _ in range(n_params)] for _ in range(count)]
 
 
+# Sequence cap for `saturated_path`: four times the largest closure a caller
+# builds (256 variants, on the seed-1 `folds` input), so a rule that makes a
+# closure grow fails fast instead of exhausting memory.
+CLOSURE_CAP = 1024
+
+
 def saturated_path(f: Function) -> EPath:
-    """`f`'s e-path, saturated under the default rules."""
+    """`f`'s e-path, saturated under the default rules; asserts that it
+    reaches its fixed point within `CLOSURE_CAP` sequences."""
     p = EPath(from_function(f))
-    saturate(p, rules_named(["licm", "constfold"]))
+    report = saturate(p, rules_named(["licm", "constfold"]), max_sequences=CLOSURE_CAP)
+    assert report.reached_fixed_point, f"@{f.name}: no fixed point within {CLOSURE_CAP} sequences"
     return p
 
 

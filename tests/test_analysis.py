@@ -155,10 +155,18 @@ def test_dominators_match_brute_force_on_mutated_graphs():
         reachable = _reachable(f)
         brute = brute_dominator_sets(f)
         assert idom_to_sets(f) == {b: brute[b] for b in reachable}, print_function(f)
+        edges = {
+            (u, v) for u in reachable
+            for v, _ in terminator_targets(f.block(u).terminator)
+        }
         try:
-            find_back_edges(f)
-        except IrreducibleError:
+            back = find_back_edges(f)
+        except IrreducibleError as exc:
+            src, dst = exc.edge
+            assert exc.edge in edges and dst not in brute[src], print_function(f)
             seen["irreducible"] += 1
+        else:
+            assert back == {(u, v) for u, v in edges if v in brute[u]}, print_function(f)
         seen["unreachable_pred"] += any(
             t in reachable for b in f.blocks if b.id not in reachable
             for t, _ in terminator_targets(b.terminator)

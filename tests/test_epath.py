@@ -27,7 +27,7 @@ from epathopt import (
     to_function,
     validate,
 )
-from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus, saturated_path
+from conftest import CLOSURE_CAP, CORPUS_DIR, GOLDEN_DIR, load_corpus, saturated_path
 from generators import fold_function, irreducible_function, random_function
 from oracles import audit_saturation, brute_closure
 
@@ -268,10 +268,10 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
     # One DFS per graph walked: the parsed function and each made output. One
     # solve per graph validated: the parsed function and each new output (a
     # made duplicate is walked for its digest, never validated). A canonical
-    # function inherits both from its source.
+    # function inherits both from its source. `dominators` is never called:
+    # the analyses compare dominator positions without building its map.
     assert report.inserted == len(p) - 1 < len(made)
     expected = {
-        "dominators": len(p),
         "predecessors": len(p),
         "reverse_postorder": 1 + len(made),
         "must_dataflow": 1 + report.inserted,
@@ -539,8 +539,10 @@ def test_saturate_equals_the_flat_oracle_on_the_benchmark_inputs(perfbench_workl
     for seed in (1, 2):
         cases = perfbench_workloads.generate(workload, seed)
         for case in cases:
-            problems, report = audit_saturation(from_function(parse_function(case.text)), RULES)
+            seq = from_function(parse_function(case.text))
+            problems, report = audit_saturation(seq, RULES, max_sequences=CLOSURE_CAP)
             assert problems == [], (workload, seed, case.name, problems)
+            assert report.reached_fixed_point, (workload, seed, case.name)
             if workload != "fuzz":
                 # Every duplicate has a commuting square that predicts it.
                 assert report.predicted == report.deduplicated > 0

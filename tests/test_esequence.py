@@ -247,7 +247,7 @@ def test_canonical_function_inherits_the_sources_walk_and_dominators(saturated):
             kept = s.function
             fresh = Function("s", s.params, 0, s.blocks)
             assert kept.rpo == reverse_postorder(fresh) == list(range(len(s))), f.name
-            assert dominators(kept) == _solved_dominators(fresh) == s.analyses.idom, f.name
+            assert dominators(kept) == _solved_dominators(fresh), f.name
             if len(s) <= 8:
                 assert idom_to_sets(kept) == brute_dominator_sets(kept), f.name
                 brute_checked += 1
