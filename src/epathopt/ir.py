@@ -14,22 +14,28 @@ phi nodes. The textual grammar:
                | "ret" valuelist?
     blockarg  := blockref "(" valuelist? ")"
     value     := "v" nat        blockref := "b" nat        int := "-"? nat
+    valuelist := value ("," value)*                    operandlist := valuelist?
     nat       := ("0" | "1" | ... | "9")+
+    ident     := (a character `str.isalnum` accepts | "_")+
 
-Lines end at "\\n", "\\r\\n" or "\\r" and nowhere else: a form feed, vertical
-tab or Unicode line separator is an ordinary character. A comment runs from
-";" to the end of its line. A line that holds nothing but whitespace (as
-`str.strip` counts it) before any comment is blank and skipped; within a line,
-tokens are separated by spaces and tabs only. Cost tables are read by the same
-line rules (`logical_lines`). Integers are 64-bit two's-complement with
-wrapping arithmetic.
+An `ident` is what `_LineScanner.word` reads, so Unicode letters and digits
+count. The function header (through its "{"), each block label (through its
+":"), each instruction, each terminator and the closing "}" take a line of
+their own. Lines end at "\\n", "\\r\\n" or "\\r" and nowhere else: a form
+feed, vertical tab or Unicode line separator is an ordinary character. A
+comment runs from ";" to the end of its line. A line that holds nothing but
+whitespace (as `str.strip` counts it) before any comment is blank and
+skipped; within a line, tokens are separated by spaces and tabs only, and a
+keyword needs one before a following value or block ("jumpb1" reads as one
+word). Cost tables are read by the same line rules (`logical_lines`).
+Integers are 64-bit two's-complement with wrapping arithmetic.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import starmap
 from typing import Iterator
 
 ValueId = int
@@ -456,51 +462,131 @@ def _parse_terminator(line: _LineScanner) -> Terminator:
     return term
 
 
-def parse_file(text: str) -> list[Function]:
-    """Parse every function in the text, in order."""
-    lines = starmap(_LineScanner, logical_lines(text))
+# One pattern per line shape, matched against a whole logical line. Each
+# accepts only spellings `_LineScanner` reads the same way: ASCII digits,
+# spaces and tabs between tokens, a space or tab after each keyword (the
+# scanner reads "jumpb1" as one word) and ASCII function names. A line that
+# none accepts, such as "v0 = iconst-5" or an error, goes to the scanner.
+_VALUES = r"((?:[ \t]*v[0-9]+(?:[ \t]*,[ \t]*v[0-9]+)*)?)"
+_BLOCKARG = rf"b([0-9]+)[ \t]*\({_VALUES}[ \t]*\)"
+_HEADER = re.compile(
+    rf"[ \t]*func[ \t]*@[ \t]*([A-Za-z0-9_]+)[ \t]*\({_VALUES}[ \t]*\)[ \t]*\{{[ \t]*"
+)
+_LABEL = re.compile(rf"[ \t]*{_BLOCKARG}[ \t]*:[ \t]*")
+_CLOSE = re.compile(r"[ \t]*\}[ \t]*")
+_ICONST = re.compile(r"[ \t]*v([0-9]+)[ \t]*=[ \t]*iconst[ \t]+(-?[0-9]+)[ \t]*")
+_BINARY = re.compile(
+    r"[ \t]*v([0-9]+)[ \t]*=[ \t]*(iadd|isub|imul|icmp_slt)"
+    r"[ \t]+v([0-9]+)[ \t]*,[ \t]*v([0-9]+)[ \t]*"
+)
+_SIDEEFFECT = re.compile(r"[ \t]*v([0-9]+)[ \t]*=[ \t]*sideeffect[ \t]+v([0-9]+)[ \t]*")
+_JUMP = re.compile(rf"[ \t]*jump[ \t]+{_BLOCKARG}[ \t]*")
+_BRIF = re.compile(
+    rf"[ \t]*brif[ \t]+v([0-9]+)[ \t]*,[ \t]*{_BLOCKARG}[ \t]*,[ \t]*{_BLOCKARG}[ \t]*"
+)
+_RET = re.compile(r"[ \t]*ret((?:[ \t]+v[0-9]+(?:[ \t]*,[ \t]*v[0-9]+)*)?)[ \t]*")
 
-    def next_line(expectation: str) -> _LineScanner:
-        # `line` is the line taken last, here or by the loop over headers.
-        nonlocal line
-        for line in lines:
-            return line
-        raise ParseError(f"unexpected end of input, expected {expectation}", line.line_no)
+
+def _ids(values: str) -> tuple[ValueId, ...]:
+    """The value ids in a list that `_VALUES` or `_RET` matched."""
+    return tuple(map(int, values.replace("v", "").split(","))) if values else ()
+
+
+def _parse_header(line_no: int, line: str) -> tuple[str, tuple[ValueId, ...]]:
+    """A function's name and params."""
+    if m := _HEADER.fullmatch(line):
+        return m[1], _ids(m[2])
+    header = _LineScanner(line_no, line)
+    header.take("func")
+    header.take("@")
+    name = header.word()
+    params = header.paren_valuelist()
+    header.take("{")
+    header.expect_end()
+    return name, params
+
+
+def _parse_label(line_no: int, line: str) -> tuple[BlockId, tuple[ValueId, ...]] | None:
+    """A block's id and params, or None for the "}" that closes the function."""
+    if m := _LABEL.fullmatch(line):
+        return int(m[1]), _ids(m[2])
+    if _CLOSE.fullmatch(line):
+        return None
+    label = _LineScanner(line_no, line)
+    if label.try_take("}"):
+        label.expect_end()
+        return None
+    blockarg = label.blockarg()
+    label.take(":")
+    label.expect_end()
+    return blockarg
+
+
+def _parse_statement(line_no: int, line: str, first: bool) -> Instruction | Terminator:
+    """The terminator on a block's line or, on its `first` line only, an
+    instruction; the shapes are tried most common first."""
+    if m := _JUMP.fullmatch(line):
+        return Jump(int(m[1]), _ids(m[2]))
+    if first:
+        if m := _BINARY.fullmatch(line):
+            return Instruction(m[2], int(m[1]), (int(m[3]), int(m[4])))
+        if (m := _ICONST.fullmatch(line)) and I64_MIN <= (imm := int(m[2])) <= I64_MAX:
+            return Instruction("iconst", int(m[1]), (), imm)
+        if m := _SIDEEFFECT.fullmatch(line):
+            return Instruction("sideeffect", int(m[1]), (int(m[2]),))
+    if m := _RET.fullmatch(line):
+        return Ret(_ids(m[1]))
+    if m := _BRIF.fullmatch(line):
+        return BrIf(int(m[1]), int(m[2]), _ids(m[3]), int(m[4]), _ids(m[5]))
+    scanner = _LineScanner(line_no, line)
+    if first and scanner.peek() == "v":
+        return _parse_instruction(scanner)
+    return _parse_terminator(scanner)
+
+
+def parse_file(text: str) -> list[Function]:
+    """Parse every function in the text, in order. Each line is matched whole
+    against the patterns of the shapes that may stand there; a line that none
+    accepts is read by `_LineScanner`, which parses the spellings the
+    patterns leave out and raises every `ParseError` but those on whole
+    functions."""
+    lines = logical_lines(text)
+    line_no = 0
+
+    def next_line(expectation: str) -> tuple[int, str]:
+        # `line_no` is the number of the line taken last, here or by the
+        # loop over headers.
+        nonlocal line_no
+        for line_no, line in lines:
+            return line_no, line
+        raise ParseError(f"unexpected end of input, expected {expectation}", line_no)
 
     functions: dict[str, Function] = {}
-    for line in lines:
-        header = line
-        header.take("func")
-        header.take("@")
-        name = header.word()
-        params = header.paren_valuelist()
-        header.take("{")
-        header.expect_end()
+    for line_no, line in lines:
+        header_no = line_no
+        name, params = _parse_header(line_no, line)
 
         blocks: list[Block] = []
-        block_lines: dict[str, int] = {}
-        while not (label := next_line("block or '}'")).try_take("}"):
-            bid, block_params = label.blockarg()
-            block_lines[render_blockref(bid)] = label.line_no
-            label.take(":")
-            label.expect_end()
-            body = next_line("instruction or terminator")
+        label_lines: list[int] = []
+        while label := _parse_label(*next_line("block or '}'")):
+            label_lines.append(line_no)
             instrs: tuple[Instruction, ...] = ()
-            if body.peek() == "v":
-                instrs = (_parse_instruction(body),)
-                body = next_line("terminator")
-            blocks.append(Block(bid, block_params, instrs, _parse_terminator(body)))
-        label.expect_end()
+            statement = _parse_statement(*next_line("instruction or terminator"), True)
+            if type(statement) is Instruction:
+                instrs = (statement,)
+                statement = _parse_statement(*next_line("terminator"), False)
+            blocks.append(Block(*label, instrs, statement))
         if not blocks:
-            raise ParseError("function has no blocks", header.line_no)
+            raise ParseError("function has no blocks", header_no)
 
         f = Function(name, params, blocks[0].id, tuple(blocks))
         if violations := validate(f):
             # Located at the header of the block the first violation names.
-            line_no = block_lines.get(violations[0].partition(":")[0], header.line_no)
-            raise ParseError(f"invalid function @{name}: " + "; ".join(violations), line_no)
+            block_lines = {render_blockref(b.id): n for b, n in zip(blocks, label_lines)}
+            at = block_lines.get(violations[0].partition(":")[0], header_no)
+            raise ParseError(f"invalid function @{name}: " + "; ".join(violations), at)
         if name in functions:
-            raise ParseError(f"duplicate function name @{name}", header.line_no)
+            raise ParseError(f"duplicate function name @{name}", header_no)
         functions[name] = f
     if not functions:
         raise ParseError("no functions found", 1)

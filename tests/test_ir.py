@@ -22,7 +22,7 @@ from epathopt import (
     wrap64,
 )
 from epathopt import ir
-from conftest import argument_vectors, closure, corpus_paths, golden, load_corpus
+from conftest import CORPUS_DIR, argument_vectors, closure, corpus_paths, golden, load_corpus
 from generators import MUTATIONS, fold_function, mutate, random_function
 from oracles import brute_interpret, brute_validate, reference_must_dataflow
 
@@ -239,6 +239,86 @@ def test_parse_errors_point_into_the_input():
         else:
             seen["parsed"] += 1
     assert seen["parsed"] >= 150 and seen["failed_after_a_break"] >= 500, seen
+
+
+# What one-character edits splice in where the line patterns and the scanner
+# must agree: ASCII digits, an Arabic-Indic one, "_", signs, a tab, a
+# no-break space and the punctuation of the grammar.
+EDIT_ALPHABET = [*"0123456789", "\u0661", "_", "+", "-", "\t", "\xa0", ";", "(", ")", ",", "}"]
+
+# Spellings the scanner accepts and the patterns leave to it.
+SCANNER_ONLY = [
+    "func @f() {\nb0():\n  v0 = iconst-5\n  ret v0\n}",
+    "func@f() {\nb0():\n  ret\n}",
+    "func @f\u0661() {\nb0():\n  ret\n}",
+    "func @\u00e9t\u00e9(v0) {\nb0(v0):\n  ret v0\n}",
+]
+
+# Instructions at the edges of the patterns: the 64-bit bounds, awkward
+# digits and signs, and wrong operand counts.
+EDGE_INSTRUCTIONS = [
+    "iconst 9223372036854775807", "iconst -9223372036854775808", "iconst 9223372036854775808",
+    "iconst -9223372036854775809", "iconst \u0661", "iconst 1\u0660", "iconst +1", "iconst 007",
+    "iconst - 1", "iconst\t-1", "iconst", "sideeffect v0, v0", "sideeffect", "iadd v0",
+    "iadd v0, v0, v0", "icmp_slt v0,v0", "imul v0 ,\tv0",
+]
+
+
+def _edited(rng, text):
+    """`text` with one character deleted, inserted or substituted."""
+    i, kind = rng.randrange(len(text) + 1), rng.randrange(3)
+    middle = "" if kind == 0 else rng.choice(EDIT_ALPHABET)
+    return text[:i] + middle + text[i + (kind != 1) :]
+
+
+def _outcome(text):
+    """The functions parsed from `text`, or its error's message, line and column."""
+    try:
+        return parse_file(text)
+    except ParseError as error:
+        return error.message, error.line, error.col
+
+
+def test_line_patterns_agree_with_the_scanner(monkeypatch):
+    rng = random.Random(0x5CA9)
+    texts = [p.read_text() for p in corpus_paths() + sorted((CORPUS_DIR / "reject").glob("*.ir"))]
+    texts += [print_function(random_function(rng, max_blocks=12, name=f"d{i}")) for i in range(300)]
+    texts += [_edited(rng, text) for text in texts for _ in range(4)]
+    texts += [f"func @e(v0) {{\nb0(v0):\n  v1 = {i}\n  ret v1\n}}" for i in EDGE_INSTRUCTIONS]
+    texts += [*_mutated_texts(rng, 1500), *SCANNER_ONLY]
+    with_patterns = list(map(_outcome, texts))
+    patterns = [name for name, value in vars(ir).items() if isinstance(value, re.Pattern)]
+    assert len(patterns) >= 7, patterns
+    for name in patterns:
+        monkeypatch.setattr(ir, name, re.compile("(?!)"))  # matches nothing
+    for text, outcome in zip(texts, with_patterns):
+        assert _outcome(text) == outcome, text
+    parsed = sum(isinstance(outcome, list) for outcome in with_patterns)
+    assert 400 <= parsed <= len(texts) - 1500, parsed
+    assert all(isinstance(outcome, list) for outcome in with_patterns[-len(SCANNER_ONLY) :])
+
+
+def test_printed_functions_parse_without_the_scanner(monkeypatch, corpus):
+    # Every line `print_function` writes for an ASCII-named function has a
+    # pattern; a typo in one would send its lines back to the scanner and
+    # lose the speed with every other test still passing.
+    scanned = []
+
+    class CountedScanner(ir._LineScanner):
+        def __init__(self, line_no, text):
+            scanned.append(text)
+            super().__init__(line_no, text)
+
+    monkeypatch.setattr(ir, "_LineScanner", CountedScanner)
+    rng = random.Random(0x6A7D)
+    functions = list(corpus.values())
+    functions += [random_function(rng, max_blocks=12, name=f"g{i}") for i in range(200)]
+    for f in functions:
+        assert parse_function(print_function(f)) == f
+    assert scanned == []
+    with pytest.raises(ParseError):
+        parse_function("func @f() {\nb0():\n  retx\n}")
+    assert scanned == ["  retx"]
 
 
 def test_parse_print_roundtrip_random_functions():
