@@ -125,14 +125,15 @@ def saturate(
     independent of rule order. `rule_application_counts` counts produced
     rewrite results per rule, duplicates included.
 
-    Rule outputs are edited and canonicalized lazily, when their digest is
-    first read, and `EPath.insert` validates and analyzes only an output
-    whose digest is new. An output that a commuting square predicts is never
-    made: if `a = r1@x(s)` and `b = r2@y(s)` have disjoint footprints and
-    `a`'s output at `y` is `T`, then `b`'s output at `x` is `T`, a duplicate,
-    and its edge goes to the stored `T`. `predicted` counts those;
-    `deduplicated` includes them. Squares close over the previous iteration's
-    edges, which are kept for one iteration only. `insert` is called once per
+    A rule returns `Rewrite`s, each edited and canonicalized only when its
+    `sequence` is first read, and `EPath.insert` validates and analyzes only
+    a sequence whose digest is new. A rewrite that a commuting square
+    predicts is never made: if `a = r1@x(s)` and `b = r2@y(s)` have disjoint
+    footprints and `a`'s output at `y` is `T`, then `b`'s output at `x` is
+    `T`, a duplicate, and its edge goes to the stored `T`. `predicted` counts
+    those; `deduplicated` includes them. Squares close over the previous
+    iteration's edges, which are kept for one iteration only, with block maps
+    read from each made target's `source_rpo`. `insert` is called once per
     output either way.
 
     Rules are pure and sequences immutable, so applications over distinct
@@ -166,19 +167,21 @@ def saturate(
                         predicted += 1
                         target, block_map = path.sequence(known[0]), known[1]
                     else:
-                        if out.digest not in path and len(path) >= max_sequences:
+                        target = out.sequence
+                        if target.digest not in path and len(path) >= max_sequences:
                             return SaturationReport(
                                 iterations, len(path) - stored, deduplicated, False, counts,
                                 predicted,
                             )
-                        target = out
                     if path.insert(target, RewriteEdge(digest, target.digest, rule.name)):
                         new.append(target.digest)
                     else:
                         deduplicated += 1
                     if out.site is not None:
                         if not known:
-                            block_map = tuple(map(out.block_map.get, range(len(seq))))
+                            # The edit kept the ids of `seq`'s blocks.
+                            position = {b: i for i, b in enumerate(target.source_rpo)}
+                            block_map = tuple(map(position.get, range(len(seq))))
                         outputs[out.site] = (target.digest, block_map, out.footprint)
                         into.setdefault(target.digest, []).append((outputs, out.site))
                         if digest in parents:

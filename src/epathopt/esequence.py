@@ -5,25 +5,25 @@ are stored in canonical reverse postorder with densely renumbered block and
 value ids. Two functions that differ only in naming canonicalize to equal
 sequences with equal digests, which is what makes hash-consing work.
 
-Canonicalization (`from_function`) renames its source's blocks once, prints
-the canonical text from those blocks and digests it, and validates nothing;
-a rule output is edited and canonicalized only when its digest is first
-read. The sequence's one `Function` wraps the canonical blocks when first
-read, after its source is validated, and its `analyses` add reducibility:
-that is the one place a sequence is checked, and both name what they find
-in the source's own block ids. `EPath` analyzes what it stores, so it is the
-one trust gate and holds only valid, reducible sequences.
+Canonicalization (`from_function`, the one constructor) renames its
+source's blocks once, prints the canonical text from those blocks and
+digests it, and validates nothing; a rule's `Rewrite` makes its sequence
+when first read. The sequence's one `Function` wraps the canonical blocks
+when first read, after its source is validated, and its `analyses` add
+reducibility: that is the one place a sequence is checked, and both name
+what they find in the source's own block ids. `EPath` analyzes what it
+stores, so it is the one trust gate.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import cached_property
-from typing import Callable
 
 from .analysis import Analyses, IrreducibleError
 from .ir import (
     Block,
+    BlockId,
     Function,
     ValueId,
     print_function,
@@ -37,36 +37,18 @@ from .ir import (
 DIGEST_BYTES = 8
 
 
-# What a rule output's `make` sets on its first read.
-_MADE = ("params", "text", "digest", "block_map", "_source", "_blocks")
-
-
 class ESequence:
-    """An immutable region, made by `from_function` or, lazily, by a rule.
+    """An immutable region, made only by `from_function`.
 
     Equality and hashing go by `text`, the canonical printed form, which
     encodes the structure one to one. `function` is validated on first use.
+    `source_rpo` is its source's reverse postorder: canonical block i is the
+    source block `source_rpo[i]`, the one renaming fact a sequence keeps."""
 
-    A rule output is `ESequence(make, site, footprint)`: `make`, the
-    `from_function` of the rule's edit, runs on the first read of
-    `params`, `text`, `digest` or `block_map` (each block's canonical id, by
-    the edit's block ids, which are its source's). `site` is `(rule name,
-    block)` and `footprint` the blocks the rewrite reads or writes, in the
-    source's ids; a sequence without a site is never predicted."""
-
-    def __init__(self, make: Callable[[], ESequence] | None, site=None, footprint=frozenset()):
-        self._make, self.site, self.footprint = make, site, footprint
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute not set yet: a rule output copies its
-        # canonical form from `make()` on the first read of any part of it.
-        make = self.__dict__.get("_make")
-        if make is None or name not in _MADE:
-            raise AttributeError(name)
-        made = make()
-        self.__dict__.update((k, made.__dict__[k]) for k in _MADE)
-        self._make = None
-        return self.__dict__[name]
+    def __init__(self, params: tuple[ValueId, ...], text: str, source: Function, blocks):
+        self.params, self.text, self.digest = params, text, _digest(text)
+        self.source_rpo: tuple[BlockId, ...] = tuple(source.rpo)
+        self._source, self._blocks = source, blocks
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ESequence) and self.text == other.text
@@ -82,7 +64,7 @@ class ESequence:
         """The sequence as the function `s`: on first use the source is
         validated and the canonical blocks are wrapped and kept; analyses,
         costs and the rules all read this one object. Canonical block i is
-        `source.rpo[i]`, so the function inherits its reverse postorder,
+        `source_rpo[i]`, so the function inherits its reverse postorder,
         `0..n-1`, and the source's `idom_positions` tuple as is: no
         canonical function is walked or solved. Raises ValueError listing
         the violations of an invalid source, and keeps nothing."""
@@ -101,13 +83,11 @@ class ESequence:
     def analyses(self) -> Analyses:
         """CFG analyses of `function`, computed on first use and kept for the
         sequence's lifetime. Raises IrreducibleError naming the edge in the
-        source's own block ids: canonical block i is the source block that
-        `block_map` sends to i, so the map is inverted only on error."""
+        source's own block ids: canonical block i is `source_rpo[i]`."""
         try:
             return Analyses.compute(self.function)
         except IrreducibleError as exc:
-            source_id = {new: old for old, new in self.block_map.items()}
-            raise IrreducibleError(tuple(source_id[b] for b in exc.edge)) from None
+            raise IrreducibleError(tuple(self.source_rpo[b] for b in exc.edge)) from None
 
 
 def from_function(f: Function) -> ESequence:
@@ -125,14 +105,12 @@ def from_function(f: Function) -> ESequence:
     complete before any block is renamed, so an invalid `f` that uses a
     value before defining it still canonicalizes.
 
-    Validity and reducibility do not depend on names, so `f` is validated
-    when the sequence's function is first read, and its reducibility is
-    checked with the sequence's analyses; both name `f`'s own ids. `EPath`
-    analyzes every sequence it stores, and a duplicate has the text of a
-    stored sequence, so it is never validated or analyzed. A `Function`
-    keeps its verdict, so one the parser has validated is not validated
-    again. Renaming fails only on an invalid `f` (an undefined target or
-    value, an unreached or duplicate block): ValueError then names why.
+    Validity and reducibility do not depend on names, so `f` is checked
+    only when the sequence's `function` and `analyses` are first read, in
+    `f`'s own ids: a duplicate, which `EPath` never stores, is never
+    checked, and a parsed `Function` keeps the parser's verdict. Renaming
+    fails only on an invalid `f` (an undefined target or value, an
+    unreached or duplicate block): ValueError then names why.
     """
     try:
         rpo = f.rpo
@@ -151,11 +129,7 @@ def from_function(f: Function) -> ESequence:
     if blocks is None or len(rpo) != len(f.blocks):
         _require_valid(f)
         raise ValueError(f"invalid function @{f.name}: cannot canonicalize")
-    text = render_function("s", params, blocks)
-    s = ESequence(None)
-    s.params, s.text, s.digest, s.block_map = params, text, _digest(text), block_map
-    s._source, s._blocks = f, blocks
-    return s
+    return ESequence(params, render_function("s", params, blocks), f, blocks)
 
 
 def _require_valid(f: Function) -> None:

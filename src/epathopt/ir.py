@@ -56,6 +56,9 @@ IMPURE_OPCODES = frozenset({"sideeffect"})
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
+# The most digits, past leading zeros, an integer in a text input may have:
+# `int()` converts this many under any setting of Python's digit limit.
+_MAX_DIGITS = 640
 
 
 def wrap64(x: int) -> int:
@@ -328,10 +331,14 @@ def logical_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_integer(text: str) -> int:
-    """`text` as the grammar's `int`, the integer syntax of every text input; else ValueError."""
-    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+    """`text` as the grammar's `int`, the integer syntax of every text input, of
+    at most `_MAX_DIGITS` digits past its leading zeros; else ValueError."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
         raise ValueError(f"bad integer {text!r}")
-    return int(text)
+    if len(digits := digits.lstrip("0")) > _MAX_DIGITS:
+        raise ValueError(f"integer has {len(digits)} digits, more than {_MAX_DIGITS}")
+    return int(digits or "0") * (-1 if text[0] == "-" else 1)
 
 
 class _LineScanner:
@@ -387,11 +394,14 @@ class _LineScanner:
             self.pos += 1
         return self.text[start : self.pos]
 
-    def integer(self) -> int:
+    def immediate(self) -> int:
         sign = "-" if self.try_take("-") else ""
         if not (digits := self.digits()):
             raise self.error("expected integer")
-        return parse_integer(sign + digits)
+        imm = parse_integer(sign + digits) if len(digits.lstrip("0")) <= _MAX_DIGITS else None
+        if imm is None or not I64_MIN <= imm <= I64_MAX:
+            raise self.error("iconst immediate out of 64-bit range")
+        return imm
 
     def indexed(self, prefix: str, what: str) -> int:
         self.skip_ws()
@@ -399,7 +409,10 @@ class _LineScanner:
         if self.text.startswith(prefix, start):
             self.pos += len(prefix)
             if digits := self.digits():
-                return int(digits)
+                try:
+                    return parse_integer(digits)
+                except ValueError as exc:
+                    raise ParseError(f"{what} too long: {exc}", self.line_no, start + 1) from None
         self.pos = start
         raise self.error(f"expected {what}")
 
@@ -433,9 +446,7 @@ def _parse_instruction(line: _LineScanner) -> Instruction:
         raise line.error(f"unknown opcode {opcode!r}")
     imm, operands = None, ()
     if opcode == "iconst":
-        imm = line.integer()
-        if not I64_MIN <= imm <= I64_MAX:
-            raise line.error("iconst immediate out of 64-bit range")
+        imm = line.immediate()
     else:
         operands = line.valuelist()
     line.expect_end()
@@ -463,28 +474,29 @@ def _parse_terminator(line: _LineScanner) -> Terminator:
 
 
 # One pattern per line shape, matched against a whole logical line. Each
-# accepts only spellings `_LineScanner` reads the same way: ASCII digits,
-# spaces and tabs between tokens, a space or tab after each keyword (the
-# scanner reads "jumpb1" as one word) and ASCII function names. A line that
-# none accepts, such as "v0 = iconst-5" or an error, goes to the scanner.
-_VALUES = r"((?:[ \t]*v[0-9]+(?:[ \t]*,[ \t]*v[0-9]+)*)?)"
-_BLOCKARG = rf"b([0-9]+)[ \t]*\({_VALUES}[ \t]*\)"
+# accepts only spellings `_LineScanner` reads the same way: ASCII digits (at
+# most `_MAX_DIGITS`), spaces and tabs between tokens, a space or tab after
+# each keyword (the scanner reads "jumpb1" as one word) and ASCII function
+# names. Any other line, such as "v0 = iconst-5", goes to the scanner.
+_NUM = rf"[0-9]{{1,{_MAX_DIGITS}}}"
+_VALUES = rf"((?:[ \t]*v{_NUM}(?:[ \t]*,[ \t]*v{_NUM})*)?)"
+_BLOCKARG = rf"b({_NUM})[ \t]*\({_VALUES}[ \t]*\)"
 _HEADER = re.compile(
     rf"[ \t]*func[ \t]*@[ \t]*([A-Za-z0-9_]+)[ \t]*\({_VALUES}[ \t]*\)[ \t]*\{{[ \t]*"
 )
 _LABEL = re.compile(rf"[ \t]*{_BLOCKARG}[ \t]*:[ \t]*")
 _CLOSE = re.compile(r"[ \t]*\}[ \t]*")
-_ICONST = re.compile(r"[ \t]*v([0-9]+)[ \t]*=[ \t]*iconst[ \t]+(-?[0-9]+)[ \t]*")
+_ICONST = re.compile(rf"[ \t]*v({_NUM})[ \t]*=[ \t]*iconst[ \t]+(-?{_NUM})[ \t]*")
 _BINARY = re.compile(
-    r"[ \t]*v([0-9]+)[ \t]*=[ \t]*(iadd|isub|imul|icmp_slt)"
-    r"[ \t]+v([0-9]+)[ \t]*,[ \t]*v([0-9]+)[ \t]*"
+    rf"[ \t]*v({_NUM})[ \t]*=[ \t]*(iadd|isub|imul|icmp_slt)"
+    rf"[ \t]+v({_NUM})[ \t]*,[ \t]*v({_NUM})[ \t]*"
 )
-_SIDEEFFECT = re.compile(r"[ \t]*v([0-9]+)[ \t]*=[ \t]*sideeffect[ \t]+v([0-9]+)[ \t]*")
+_SIDEEFFECT = re.compile(rf"[ \t]*v({_NUM})[ \t]*=[ \t]*sideeffect[ \t]+v({_NUM})[ \t]*")
 _JUMP = re.compile(rf"[ \t]*jump[ \t]+{_BLOCKARG}[ \t]*")
 _BRIF = re.compile(
-    rf"[ \t]*brif[ \t]+v([0-9]+)[ \t]*,[ \t]*{_BLOCKARG}[ \t]*,[ \t]*{_BLOCKARG}[ \t]*"
+    rf"[ \t]*brif[ \t]+v({_NUM})[ \t]*,[ \t]*{_BLOCKARG}[ \t]*,[ \t]*{_BLOCKARG}[ \t]*"
 )
-_RET = re.compile(r"[ \t]*ret((?:[ \t]+v[0-9]+(?:[ \t]*,[ \t]*v[0-9]+)*)?)[ \t]*")
+_RET = re.compile(rf"[ \t]*ret((?:[ \t]+v{_NUM}(?:[ \t]*,[ \t]*v{_NUM})*)?)[ \t]*")
 
 
 def _ids(values: str) -> tuple[ValueId, ...]:

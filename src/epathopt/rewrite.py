@@ -1,12 +1,13 @@
 """Rewrite rules over canonical sequences.
 
 A rule is a pure function, `apply(s)`, from one sequence to zero or more
-new, semantically equivalent sequences; it never mutates its input, and it
-reads everything through `s`: its `function`, and its cached `analyses` when
-it needs loops. Each output carries its site and footprint and is built on
-first read: the rule edits a copy-on-write overlay of the sequence's
-function, and `from_function` renders and digests the `Function` it
-finishes; `EPath.insert` checks each new digest. Rules:
+`Rewrite`s, each naming a new, semantically equivalent sequence; it never
+mutates its input, and it reads everything through `s`: its `function`, and
+its cached `analyses` when it needs loops. A `Rewrite` holds its site,
+footprint and edit, and makes its `sequence` on first read: the edit builds
+a copy-on-write overlay of the sequence's function, and `from_function`
+renders and digests the `Function` it finishes; `EPath.insert` checks each
+new digest. Rules:
 
 * ``licm``: hoist loop-invariant instructions into a preheader chain.
 * ``constfold``: fold binary operations over two constants. It is a table
@@ -20,7 +21,7 @@ finishes; `EPath.insert` checks each new digest. Rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 from .analysis import Analyses, InstrUse, LoopRegion, def_use
@@ -43,10 +44,24 @@ from .ir import (
 )
 
 
+class Rewrite:
+    """A rule output: `site`, `(rule name, block)`, and `footprint`, the blocks
+    the rewrite reads or writes, in its source's block ids (an output without
+    a site is never predicted), and `edit()`, which builds the working copy;
+    `sequence`, made on first read, canonicalizes the function it finishes."""
+
+    def __init__(self, site: tuple[str, BlockId] | None, footprint, edit: Callable[[], _Editor]):
+        self.site, self.footprint, self.edit = site, frozenset(footprint), edit
+
+    @cached_property
+    def sequence(self) -> ESequence:
+        return from_function(self.edit().finish())
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     name: str
-    apply: Callable[[ESequence], list[ESequence]]
+    apply: Callable[[ESequence], list[Rewrite]]
 
 
 @dataclass(frozen=True)
@@ -302,17 +317,11 @@ def _targets(term: Terminator) -> set[BlockId]:
     return {t for t, _ in terminator_targets(term)}
 
 
-def _output(site: tuple[str, BlockId], footprint, edit: Callable[[], _Editor]) -> ESequence:
-    """A rule output at `site` that is edited by `edit` and canonicalized on
-    the first read of its digest or text."""
-    return ESequence(lambda: from_function(edit().finish()), site, frozenset(footprint))
-
-
 # ---------------------------------------------------------------------------
 # LICM
 
 
-def apply_licm(s: ESequence) -> list[ESequence]:
+def apply_licm(s: ESequence) -> list[Rewrite]:
     """One hoisted variant per loop with a non-empty invariant set.
 
     All invariant instructions of a loop move together, in dependency order,
@@ -327,7 +336,7 @@ def apply_licm(s: ESequence) -> list[ESequence]:
         if split.invariant_blocks:
             footprint = loop.body.union(analyses.function.preds[loop.header])
             edit = partial(_hoist, analyses.function, loop, split)
-            out.append(_output(("licm", loop.header), footprint, edit))
+            out.append(Rewrite(("licm", loop.header), footprint, edit))
     return out
 
 
@@ -383,7 +392,7 @@ _CONSTFOLD = tuple(
 )
 
 
-def apply_const_fold(s: ESequence) -> list[ESequence]:
+def apply_const_fold(s: ESequence) -> list[Rewrite]:
     """One variant per match of a `_CONSTFOLD` pattern `op(iconst a, iconst b)`,
     ordered by pattern, then by block: the matched block, the site, becomes
     `iconst fold_constants(op, a, b)`, and dead constant feeders are
@@ -397,7 +406,7 @@ def apply_const_fold(s: ESequence) -> list[ESequence]:
     return [_fold(f, chains, p, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
 
 
-def _fold(f: Function, chains: dict, p: ExprPattern, m: dict[str, int]) -> ESequence:
+def _fold(f: Function, chains: dict, p: ExprPattern, m: dict[str, int]) -> Rewrite:
     """The output that folds `m`. The root's and each feeder's block are read
     from `f.defs`, a feeder's uses from the def-use `chains`; a feeder read
     only by the folded instruction is dead, and its block is spliced out
@@ -415,7 +424,7 @@ def _fold(f: Function, chains: dict, p: ExprPattern, m: dict[str, int]) -> ESequ
             footprint.update(f.preds[block])
             footprint.update(_targets(f.block(block).terminator))
     folded = Instruction("iconst", m["root"], (), fold_constants(p.tree.opcode, m["a"], m["b"]))
-    return _output(("constfold", root), footprint, partial(_fold_at, f, root, folded, dead))
+    return Rewrite(("constfold", root), footprint, partial(_fold_at, f, root, folded, dead))
 
 
 def _fold_at(f: Function, root: BlockId, folded: Instruction, dead: list) -> _Editor:
@@ -430,7 +439,7 @@ def _fold_at(f: Function, root: BlockId, folded: Instruction, dead: list) -> _Ed
 # Negative control
 
 
-def apply_broken(s: ESequence) -> list[ESequence]:
+def apply_broken(s: ESequence) -> list[Rewrite]:
     """Unsound on purpose: bumps the first constant it finds. Exists so the
     differential checker has something to catch. Which constant is first
     depends on every block before it, so the output has no site. The edit
@@ -439,7 +448,7 @@ def apply_broken(s: ESequence) -> list[ESequence]:
         instr = b.instruction
         if instr and instr.opcode == "iconst":
             bumped = Instruction("iconst", instr.result, (), wrap64(instr.imm + 1))
-            return [_output(None, (), partial(_fold_at, s.function, b.id, bumped, ()))]
+            return [Rewrite(None, (), partial(_fold_at, s.function, b.id, bumped, ()))]
     return []
 
 

@@ -181,8 +181,8 @@ def brute_closure(seed, rules):
         for s in list(seen.values()):
             for rule in rules:
                 for out in rule.apply(s):
-                    if out.digest not in seen:
-                        seen[out.digest] = out
+                    if out.sequence.digest not in seen:
+                        seen[out.sequence.digest] = out.sequence
                         changed = True
     return set(seen)
 
@@ -207,13 +207,14 @@ def flat_saturate(path, rules, *, max_iterations=64, max_sequences=100_000):
             for rule in rules:
                 for out in rule.apply(seq):
                     counts[rule.name] += 1
-                    if out.digest not in path:
+                    target = out.sequence
+                    if target.digest not in path:
                         if len(path) >= max_sequences:
                             return SaturationReport(
                                 iterations, len(path) - stored, deduplicated, False, counts
                             )
-                    if path.insert(out, RewriteEdge(digest, out.digest, rule.name)):
-                        new.append(out.digest)
+                    if path.insert(target, RewriteEdge(digest, target.digest, rule.name)):
+                        new.append(target.digest)
                     else:
                         deduplicated += 1
         frontier = sorted(new)
@@ -262,8 +263,8 @@ def audit_saturation(seed, rules, **limits):
     if path.digests() != flat.digests() or path.edges != flat.edges:
         problems.append("variants or edges differ")
     for out, (source, target, rule) in zip(outputs, path.calls):
-        if out.digest != target:
-            problems.append(f"{rule} output of {source} is {out.digest}, not {target}")
+        if out.sequence.digest != target:
+            problems.append(f"{rule} output of {source} is {out.sequence.digest}, not {target}")
     # Stopping at `max_sequences` may leave the last output counted but not
     # inserted.
     counted = sum(report.rule_application_counts.values())

@@ -325,7 +325,7 @@ def test_check_catches_broken_on_random_functions(capsys, tmp_path):
         s = from_function(f)
         args = [rng.randrange(-5, 6) for _ in f.params]
         for bumped in apply_broken(s):
-            results = [interpret(x.function, args, 1000) for x in (s, bumped)]
+            results = [interpret(x.function, args, 1000) for x in (s, bumped.sequence)]
             if any(isinstance(r, FuelExhausted) for r in results) or results[0] == results[1]:
                 continue
             path.write_text(print_function(f))
@@ -359,22 +359,69 @@ def test_opt_variants_and_trace_golden(capsys, name):
     assert out == golden(f"{name}_variants_trace.txt") + "\n"
 
 
-def test_opt_broken_pipe_exits_1_without_traceback():
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the child writes
+def run_child(argv, **kwargs):
+    """`epath-opt` with `argv` in a child process, as `subprocess.run` returns it."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )}
+    return subprocess.run(
+        [sys.executable, "-m", "epathopt.cli", *argv], text=True, env=env, timeout=60, **kwargs
+    )
+
+
+def test_opt_broken_pipe_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "epathopt.cli", "opt",
-             str(CORPUS_DIR / "loop_invariant_chain.ir"), "--dump-variants"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        proc = run_child(
+            ["opt", str(CORPUS_DIR / "loop_invariant_chain.ir"), "--dump-variants"],
+            stdout=write_end, stderr=subprocess.PIPE,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+ZEROS, LONG = "0" * 5000, "1" * 5000
+
+
+@pytest.mark.parametrize("command, code", [("opt", 1), ("check", 2)])
+def test_long_integers_are_read_or_located_without_a_traceback(tmp_path, command, code):
+    # More digits than Python's `int()` converts by default: leading zeros do
+    # not count, and any other long integer is a located error.
+    padded = tmp_path / "padded.ir"
+    padded.write_text(f"func @f() {{\nb0():\n  v{ZEROS}0 = iconst -{ZEROS}7\n  ret v0\n}}\n")
+    proc = run_child([command, str(padded)], capture_output=True)
+    printed = "func @f() {\nb0():\n  v0 = iconst -7\n  ret v0\n}\n"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (printed if command == "opt" else "@f: 1 variants agree\n")
+    too_long = "too long: integer has 5000 digits, more than 640"
+    cases = [
+        ("  v0 = iconst " + LONG, "3:5015: iconst immediate out of 64-bit range"),
+        (f"  v{LONG} = iconst 1", f"3:3: value (vN) {too_long}"),
+        (f"  jump b{LONG}()", f"3:8: block (bN) {too_long}"),
+    ]
+    bad = tmp_path / "long.ir"
+    for line, error in cases:
+        bad.write_text(f"func @f() {{\nb0():\n{line}\n  ret v0\n}}\n")
+        proc = run_child([command, str(bad)], capture_output=True)
+        assert (proc.returncode, proc.stdout) == (code, ""), line[:20]
+        assert proc.stderr == f"epath-opt: error: {bad}:{error}\n", line[:20]
+
+
+def test_long_integers_in_cost_tables_and_args(capsys, tmp_path):
+    table = tmp_path / "costs.txt"
+    table.write_text(f"iadd = {ZEROS}5\niconst = {LONG}\n")
+    assert run(capsys, ["opt", SEC2, "--cost-table", str(table)]) == (
+        2, "", "epath-opt: error: cost table: line 2: integer has 5000 digits, more than 640\n"
+    )
+    assert run(capsys, ["check", IDENTITY, "--args", ZEROS + "7"]) == (
+        0, "@id: 1 variants agree\n", ""
+    )
+    assert run(capsys, ["check", IDENTITY, "--args", LONG]) == (
+        2, "", f"epath-opt: error: bad --args value {LONG!r}\n"
+    )
 
 
 @pytest.mark.parametrize("command, code", [("opt", 1), ("check", 2)])

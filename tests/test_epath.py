@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -7,7 +8,6 @@ from epathopt import (
     Block,
     BrIf,
     EPath,
-    ESequence,
     Function,
     Instruction,
     IrreducibleError,
@@ -27,6 +27,7 @@ from epathopt import (
     to_function,
     validate,
 )
+from epathopt.rewrite import Rewrite, _Editor
 from conftest import CLOSURE_CAP, CORPUS_DIR, GOLDEN_DIR, load_corpus, saturated_path
 from generators import fold_function, irreducible_function, random_function
 from oracles import audit_saturation, brute_closure
@@ -53,7 +54,7 @@ def test_seed_digest_stable_across_runs():
 def test_insert_and_duplicate():
     s = seed_of("sec2_loop.ir")
     p = EPath(s)
-    (hoisted,) = RULES[0].apply(s)
+    (hoisted,) = [out.sequence for out in RULES[0].apply(s)]
     edge = RewriteEdge(s.digest, hoisted.digest, "licm")
     assert p.insert(hoisted, edge) is True
     assert len(p) == 2
@@ -65,7 +66,7 @@ def test_insert_and_duplicate():
 def test_duplicate_insert_records_new_edge():
     s = seed_of("sec2_loop.ir")
     p = EPath(s)
-    (hoisted,) = RULES[0].apply(s)
+    (hoisted,) = [out.sequence for out in RULES[0].apply(s)]
     p.insert(hoisted, RewriteEdge(s.digest, hoisted.digest, "licm"))
     assert p.insert(hoisted, RewriteEdge(hoisted.digest, hoisted.digest, "other")) is False
     assert len(p.edges) == 2
@@ -258,7 +259,7 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
     p = EPath(from_function(f))
     made = []
     report = saturate(p, _recording(RULES, made))
-    made = [out for out in made if "text" in vars(out)]  # the unpredicted ones
+    made = [out.sequence for out in made if "sequence" in vars(out)]  # the unpredicted ones
     sort_by_cost(p.variants())
     assert len(p) > 2
     outputs = report.inserted + report.deduplicated
@@ -287,7 +288,7 @@ def test_each_distinct_sequence_analyzed_once(monkeypatch):
 
 def _emitting(function):
     """A rule whose only output is `function`, canonicalized as rules do."""
-    return RewriteRule("emit", lambda s: [from_function(function)])
+    return RewriteRule("emit", lambda s: [Rewrite(None, (), partial(_Editor, function))])
 
 
 def test_saturate_rejects_new_invalid_output():
@@ -344,7 +345,8 @@ def test_duplicate_output_is_never_built(monkeypatch, name):
     # nothing is printed.
     expected = {"validate": report.inserted, "compute": report.inserted}
     assert calls == expected
-    duplicates = [out for out in outputs if p.sequence(out.digest) is not out]
+    made = [out.sequence for out in outputs]
+    duplicates = [out for out in made if p.sequence(out.digest) is not out]
     assert len(duplicates) == report.deduplicated
     assert all("function" not in vars(out) for out in duplicates)
     for s in p.variants():  # cached: reading blocks again checks nothing
@@ -433,10 +435,10 @@ def test_every_stored_sequence_is_valid_and_analyzed():
             digest = work.pop()
             seq = p.sequence(digest)
             for rule in RULES:
-                for out in rule.apply(seq):
-                    if p.insert(out, RewriteEdge(digest, out.digest, rule.name)):
-                        _stored_is_analyzed(out)
-                        work.append(out.digest)
+                for made in (out.sequence for out in rule.apply(seq)):
+                    if p.insert(made, RewriteEdge(digest, made.digest, rule.name)):
+                        _stored_is_analyzed(made)
+                        work.append(made.digest)
 
 
 def test_insert_raises_on_digest_collision(monkeypatch):
@@ -563,8 +565,7 @@ def _block_count_rule(footprint):
                     for x in f.blocks
                 )
                 edited = Function("s", f.params, f.entry, blocks)
-                make = lambda edited=edited: from_function(edited)  # noqa: E731
-                out.append(ESequence(make, ("count", b.id), frozenset(footprint(f, b))))
+                out.append(Rewrite(("count", b.id), footprint(f, b), partial(_Editor, edited)))
         return out
 
     return RewriteRule("count", apply)
@@ -589,14 +590,39 @@ def test_outputs_without_a_site_are_never_predicted():
     f = _fold_chain(3)
     untracked = [
         RewriteRule(rule.name, lambda s, rule=rule: [
-            from_function(out.function) for out in rule.apply(s)
+            Rewrite(None, (), out.edit) for out in rule.apply(s)
         ])
         for rule in RULES
     ]
     problems, report = audit_saturation(from_function(f), untracked)
     assert problems == []
     assert report.predicted == 0 and report.deduplicated > 0
-    assert from_function(f).site is None
+    assert not hasattr(from_function(f), "site")
+
+
+def test_a_stored_sequence_keeps_only_its_canonical_form(saturated):
+    # A rewrite's site, footprint and edit stay on the `Rewrite`. A stored
+    # sequence keeps its canonical form and its source's reverse postorder,
+    # and lets its source go once its function is read.
+    fold_inputs = []
+    for (generator, _), (f, p) in saturated.items():
+        for s in p.variants():
+            assert s.function.blocks and s.analyses
+            assert vars(s).keys() == {
+                "params", "text", "digest", "source_rpo", "_source", "_blocks", "function",
+                "analyses",
+            }
+            assert s._source is None and s._blocks is None
+        if generator == "fold_function" and len(fold_inputs) < 20:
+            fold_inputs.append(f)
+    # Only the rewrites that no commuting square predicts are made.
+    predicted = 0
+    for f in fold_inputs:
+        outputs = []
+        report = saturate(EPath(from_function(f)), _recording(RULES, outputs))
+        assert sum("sequence" not in vars(out) for out in outputs) == report.predicted
+        predicted += report.predicted
+    assert predicted > 0
 
 
 def test_disjoint_footprints_meet_at_one_target(saturated, perfbench_workloads):
@@ -621,7 +647,8 @@ def test_disjoint_footprints_meet_at_one_target(saturated, perfbench_workloads):
                 outs = [out for rule in RULES for out in rule.apply(s)]
                 for i, a in enumerate(outs):
                     for b in outs[i + 1:]:
-                        if a.footprint.isdisjoint(b.footprint) and a.digest != b.digest:
+                        if a.footprint.isdisjoint(b.footprint) and a.sequence != b.sequence:
                             squares[group] += 1
-                            assert targets[a.digest] & targets[b.digest], (f.name, a.site)
+                            ta, tb = a.sequence.digest, b.sequence.digest
+                            assert targets[ta] & targets[tb], (f.name, a.site)
     assert squares[0] > 100 and squares[1] >= 500, squares

@@ -205,7 +205,7 @@ def _closure_and_outputs(f, rules):
     p = EPath(from_function(f))
     saturate(p, rules)
     variants = p.variants()
-    outputs = [out for s in variants for rule in rules for out in rule.apply(s)]
+    outputs = [out.sequence for s in variants for rule in rules for out in rule.apply(s)]
     return variants + outputs
 
 

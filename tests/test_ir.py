@@ -261,7 +261,50 @@ EDGE_INSTRUCTIONS = [
     "iconst -9223372036854775809", "iconst \u0661", "iconst 1\u0660", "iconst +1", "iconst 007",
     "iconst - 1", "iconst\t-1", "iconst", "sideeffect v0, v0", "sideeffect", "iadd v0",
     "iadd v0, v0, v0", "icmp_slt v0,v0", "imul v0 ,\tv0",
+    # Past the digits a pattern takes: leading zeros do not count, more digits
+    # are out of range.
+    "iconst " + "0" * 5000 + "7", "iconst -" + "0" * 5000 + "7", "iconst " + "9" * 5000,
 ]
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        (f"func @f(v{LONG}) {{\nb0():\n  ret\n}}", "value (vN) too long", 1, 9),
+        (f"func @f() {{\nb{LONG}():\n  ret\n}}", "block (bN) too long", 2, 1),
+        (f"func @f() {{\nb0():\n  v{LONG} = iconst 1\n  ret\n}}", "value (vN) too long", 3, 3),
+        (f"func @f() {{\nb0():\n  jump b{LONG}()\n}}", "block (bN) too long", 3, 8),
+        (f"func @f() {{\nb0():\n  ret v1, v{LONG}\n}}", "value (vN) too long", 3, 11),
+        (
+            f"func @f() {{\nb0():\n  v0 = iconst -{LONG}\n  ret v0\n}}",
+            "iconst immediate out of 64-bit range", 3, 5016,
+        ),
+    ],
+    ids=["param", "label", "result", "target", "operand", "immediate"],
+)
+def test_an_integer_too_long_to_convert_is_a_located_error(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_file(text)
+    assert exc.value.message.startswith(message)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_leading_zeros_do_not_count_toward_an_integers_length():
+    zeros = "0" * 5000
+    f = parse_function(
+        f"func @f(v{zeros}0) {{\nb{zeros}3(v0):\n  v{zeros}1 = iconst -{zeros}7\n"
+        f"  jump b{zeros}4(v1)\nb4(v2):\n  ret v2\n}}"
+    )
+    assert print_function(f) == (
+        "func @f(v0) {\nb3(v0):\n  v1 = iconst -7\n  jump b4(v1)\nb4(v2):\n  ret v2\n}"
+    )
+    assert ir.parse_integer(zeros + "12") == 12
+    assert ir.parse_integer("-" + "9" * 640) == -int("9" * 640)
+    with pytest.raises(ValueError, match="^integer has 641 digits, more than 640$"):
+        ir.parse_integer(zeros + "9" * 641)
 
 
 def _edited(rng, text):

@@ -277,7 +277,7 @@ def test_classify_invariance_matches_fixed_point_reference():
 
 def test_licm_sec2_produces_golden_variant():
     s = seq_of("sec2_loop.ir")
-    (variant,) = apply_licm(s)
+    (variant,) = [out.sequence for out in apply_licm(s)]
     assert print_function(to_function(variant, "sec2")) == golden("sec2_loop_licm.txt")
 
 
@@ -288,7 +288,7 @@ def test_licm_no_invariants_yields_nothing():
 
 def test_licm_fixed_point_on_own_output():
     s = seq_of("sec2_loop.ir")
-    (variant,) = apply_licm(s)
+    (variant,) = [out.sequence for out in apply_licm(s)]
     assert apply_licm(variant) == []
 
 
@@ -296,7 +296,7 @@ def test_licm_never_returns_input(corpus):
     for name in corpus:
         s = seq_of(name)
         for out in apply_licm(s):
-            assert out != s, name
+            assert out.sequence != s, name
 
 
 def _effect_depths(s):
@@ -313,13 +313,13 @@ def test_licm_never_moves_side_effects(corpus):
         s = seq_of(name)
         before = _effect_depths(s)
         for out in apply_licm(s):
-            assert _effect_depths(out) == before, name
+            assert _effect_depths(out.sequence) == before, name
 
 
 def test_licm_outputs_interpreter_equivalent(corpus):
     for name, f in corpus.items():
         s = from_function(f)
-        outs = apply_licm(s)
+        outs = [out.sequence for out in apply_licm(s)]
         assert_all_equivalent([s, *outs], f.name, len(f.params))
 
 
@@ -328,7 +328,7 @@ def test_licm_outputs_interpreter_equivalent(corpus):
 
 
 def test_fold_straight_line_to_single_block():
-    (variant,) = apply_const_fold(seq_of("straightline_consts.ir"))
+    (variant,) = [out.sequence for out in apply_const_fold(seq_of("straightline_consts.ir"))]
     assert print_function(to_function(variant, "consts")) == golden(
         "straightline_consts_fold.txt"
     )
@@ -339,7 +339,7 @@ def test_fold_sec2_no_match():
 
 
 def test_fold_zero_annihilator():
-    (variant,) = apply_const_fold(seq_of("fold_zero_mul.ir"))
+    (variant,) = [out.sequence for out in apply_const_fold(seq_of("fold_zero_mul.ir"))]
     consts = [
         b.instruction.imm
         for b in variant.blocks
@@ -351,7 +351,7 @@ def test_fold_zero_annihilator():
 
 def test_fold_keeps_live_feeders():
     s = seq_of("diamond_consts.ir")
-    outs = apply_const_fold(s)
+    outs = [out.sequence for out in apply_const_fold(s)]
     assert len(outs) == 2
     assert_all_equivalent([s, *outs], "dconst", 1)
 
@@ -363,14 +363,14 @@ def test_fold_splices_a_feeder_used_twice_once():
         "func @f() {\nb0():\n  jump b1()\nb1():\n  v1 = iconst 3\n  jump b2()\n"
         "b2():\n  v2 = iadd v1, v1\n  ret v2\n}"
     ))
-    (variant,) = apply_const_fold(s)
+    (variant,) = [out.sequence for out in apply_const_fold(s)]
     assert interpret(to_function(variant), [], 10).values == (6,)
     assert len(variant) == len(s) - 1
     assert [b.instruction.imm for b in variant.blocks if b.instruction] == [6]
 
 
 def test_fold_icmp_yields_flag():
-    (variant,) = apply_const_fold(seq_of("fold_icmp.ir"))
+    (variant,) = [out.sequence for out in apply_const_fold(seq_of("fold_icmp.ir"))]
     (const_block,) = [b for b in variant.blocks if b.instruction]
     assert const_block.instruction.imm == 1
 
@@ -378,7 +378,7 @@ def test_fold_icmp_yields_flag():
 def test_fold_outputs_interpreter_equivalent(corpus):
     for name, f in corpus.items():
         s = from_function(f)
-        outs = apply_const_fold(s)
+        outs = [out.sequence for out in apply_const_fold(s)]
         assert_all_equivalent([s, *outs], f.name, len(f.params))
 
 
@@ -403,7 +403,7 @@ def test_fold_matches_interpreter_fuzz():
 
 def test_broken_rule_changes_semantics():
     s = seq_of("straightline_consts.ir")
-    (variant,) = RULES["broken"].apply(s)
+    (variant,) = [out.sequence for out in RULES["broken"].apply(s)]
     original = interpret(to_function(s), [], 100)
     mutated = interpret(to_function(variant), [], 100)
     assert original != mutated
@@ -422,7 +422,7 @@ def test_rules_on_random_functions_stay_valid_and_equivalent():
         f = random_function(rng, max_blocks=10, name=f"g{i}")
         s = from_function(f)
         for rule in rules:
-            outs = rule.apply(s)
+            outs = [out.sequence for out in rule.apply(s)]
             if not outs:
                 continue
             checked += len(outs)
@@ -583,10 +583,10 @@ def test_outputs_are_built_on_first_read(monkeypatch):
     s = from_function(load_corpus()["diamond_consts.ir"])
     outs = apply_const_fold(s)
     assert len(outs) == 2 and edited == []
-    digest = outs[1].digest
+    digest = outs[1].sequence.digest
     assert len(edited) == 1
-    assert outs[1].text and outs[1].digest == digest and len(edited) == 1
-    assert outs[0].text and len(edited) == 2
+    assert outs[1].sequence.text and outs[1].sequence.digest == digest and len(edited) == 1
+    assert outs[0].sequence.text and len(edited) == 2
 
 
 def test_output_sites_name_the_rewritten_block(corpus):
@@ -634,7 +634,7 @@ def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch, saturated)
             for out in rule.apply(s):
                 edited.clear()
                 editors.clear()
-                out.digest
+                out.sequence
                 (working,) = edited
                 (ed,) = editors
                 assert out.site[1] in out.footprint

@@ -11,7 +11,7 @@ import json
 import types
 from pathlib import Path
 
-from epathopt import cli, from_function, rewrite, saturate
+from epathopt import ESequence, cli, from_function, rewrite, saturate
 from epathopt.analysis import Analyses
 from epathopt.epath import EPath
 from conftest import CORPUS_DIR
@@ -41,6 +41,16 @@ def test_every_traced_name_resolves_where_it_is_patched():
         isinstance(rule, rewrite.RewriteRule) and callable(rule.apply)
         for rule in rewrite.RULES.values()
     )
+
+
+def test_rules_return_rewrites_and_a_sequence_has_one_form(corpus):
+    # The tracer counts each rule's outputs and times `rewrite.from_function`,
+    # which a `Rewrite` calls when its `sequence` is first read; an
+    # `ESequence` has no attribute that is filled in on first read.
+    for name, rule in rewrite.RULES.items():
+        outputs = [out for f in corpus.values() for out in rule.apply(from_function(f))]
+        assert outputs and all(type(out) is rewrite.Rewrite for out in outputs), name
+    assert not hasattr(ESequence, "__getattr__")
 
 
 def test_tracer_installs_counts_and_restores(capsys):
