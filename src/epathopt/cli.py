@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .analysis import IrreducibleError
-from .cost import CostTable, cost_of, default_cost_table, load_cost_table, sort_by_cost
+from .cost import CostTable, default_cost_table, load_cost_table, rank_by_cost, sort_by_cost
 from .epath import EPath, saturate
 from .esequence import from_function, to_dot, to_function
 from .ir import FuelExhausted, Function, ParseError, interpret, parse_file, parse_integer
@@ -109,12 +109,14 @@ def _render_result(f: Function, path: EPath, table: CostTable, ns: argparse.Name
     if ns.trace:
         for edge in path.edges:
             lines.append(f"{edge.rule_name}: {edge.source} -> {edge.target}")
-    ordered = sort_by_cost(path.variants(), table)
     if ns.dump_variants:
-        for seq in ordered:
-            lines.append(f"; variant {seq.digest} cost {cost_of(seq, table).render()}")
+        ranked = rank_by_cost(path.variants(), table)
+        for seq, cost in ranked:
+            lines.append(f"; variant {seq.digest} cost {cost.render()}")
             lines.append(print_function(to_function(seq, f.name)))
-    best = ordered[0]
+        best = ranked[0][0]
+    else:
+        best = sort_by_cost(path.variants(), table)[0]
     if ns.emit == "dot":
         lines.append(to_dot(best, f.name))
     else:

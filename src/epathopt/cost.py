@@ -144,11 +144,20 @@ def cost_of(s: ESequence, table: CostTable | None = None) -> CostPoly:
     return CostPoly(tuple(coefficients))
 
 
-def sort_by_cost(variants: list[ESequence], table: CostTable | None = None) -> list[ESequence]:
-    """Ascending cost in the order of `compare`, ties broken by canonical
-    printed form (`s.text`)."""
+def rank_by_cost(
+    variants: list[ESequence], table: CostTable | None = None
+) -> list[tuple[ESequence, CostPoly]]:
+    """Each variant with its cost, computed once, in ascending cost in the
+    order of `compare`, ties broken by canonical printed form (`s.text`)."""
     table = table or default_cost_table()
-    return sorted(variants, key=lambda s: (_order_key(cost_of(s, table)), s.text))
+    ranked = [(s, cost_of(s, table)) for s in variants]
+    ranked.sort(key=lambda pair: (_order_key(pair[1]), pair[0].text))
+    return ranked
+
+
+def sort_by_cost(variants: list[ESequence], table: CostTable | None = None) -> list[ESequence]:
+    """The variants of `rank_by_cost`, without their costs."""
+    return [s for s, _ in rank_by_cost(variants, table)]
 
 
 def extract(p: EPath, table: CostTable | None = None) -> ESequence:

@@ -8,11 +8,13 @@ sequences with equal digests, which is what makes hash-consing work.
 Canonicalization (`from_function`, the one constructor) renames its
 source's blocks once, prints the canonical text from those blocks and
 digests it, and validates nothing; a rule's `Rewrite` makes its sequence
-when first read. The sequence's one `Function` wraps the canonical blocks
-when first read, after its source is validated, and its `analyses` add
-reducibility: that is the one place a sequence is checked, and both name
-what they find in the source's own block ids. `EPath` analyzes what it
-stores, so it is the one trust gate.
+when first read. A canonical block keeps its renamings and its text, so
+a block that variants share is built and printed once per e-path. The
+sequence's one `Function` wraps the canonical blocks when first read,
+after its source is validated, and its `analyses` add reducibility: that
+is the one place a sequence is checked, and both name what they find in
+the source's own block ids. `EPath` analyzes what it stores, so it is the
+one trust gate.
 """
 
 from __future__ import annotations
@@ -103,7 +105,9 @@ def from_function(f: Function) -> ESequence:
     renamed blocks: the text is exactly `print_function` of the canonical
     function named `s`, and the digest is its blake2b. The value map is
     complete before any block is renamed, so an invalid `f` that uses a
-    value before defining it still canonicalizes.
+    value before defining it still canonicalizes. A block `f` shares with
+    a canonical source keeps its renamings and its text, so renaming it
+    under a map seen before, or under none, builds and prints nothing.
 
     Validity and reducibility do not depend on names, so `f` is checked
     only when the sequence's `function` and `analyses` are first read, in
@@ -149,7 +153,7 @@ def to_function(s: ESequence, name: str = "s") -> Function:
 def canonical_hash(s: ESequence) -> str:
     """Deterministic structural digest, stable across processes: the digest
     of `print_function(s.function)`. It prints the blocks `s.text` was
-    printed from, with the same renderer, so it equals `s.digest`."""
+    printed from, from the texts they keep, so it equals `s.digest`."""
     return _digest(print_function(s.function))
 
 

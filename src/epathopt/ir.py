@@ -106,12 +106,20 @@ class Block:
     `instructions` is meant to hold zero or one entry; longer tuples are
     representable so `validate` can flag them on programmatically built
     functions.
+
+    A block is immutable, so it may keep what is derived from it: its text,
+    once `render_function` has printed it, and, if `remap_block` built it,
+    the blocks its renamings built. Neither is a field, so equality,
+    hashing, repr and `dataclasses.replace` ignore them.
     """
 
     id: BlockId
     params: tuple[ValueId, ...]
     instructions: tuple[Instruction, ...]
     terminator: Terminator
+
+    _text = None  # "\n".join(render_block(self)), set on first print
+    _renamings = None  # on blocks `remap_block` built: () until it keeps a renaming
 
     @property
     def instruction(self) -> Instruction | None:
@@ -654,10 +662,16 @@ def render_block(block: Block) -> list[str]:
 
 def render_function(name: str, params, blocks) -> str:
     """The text format of one function: `blocks` holds its `Block`s in the
-    order they are written, each by `render_block`."""
+    order they are written. Each block's lines come from `render_block` on
+    its first print and are kept on the block as one text, so a block that
+    many functions share is rendered once."""
     lines = [f"func @{name}({', '.join(map(render_value, params))}) {{"]
     for block in blocks:
-        lines += render_block(block)
+        text = block._text
+        if text is None:
+            text = "\n".join(render_block(block))
+            object.__setattr__(block, "_text", text)
+        lines.append(text)
     lines.append("}")
     return "\n".join(lines)
 
@@ -898,8 +912,35 @@ def remap_block(
     block: Block, value_map: dict[ValueId, ValueId], block_map: dict[BlockId, BlockId]
 ) -> Block:
     """`block` with every value and block id, its own included, renamed
-    through the given maps; its terminator is renamed by one `retarget`."""
+    through the given maps; its terminator is renamed by one `retarget`.
 
+    A block built here keeps its renamings, keyed by the images of every id
+    it names (its own, its targets and its values), so a block that many
+    variants share is renamed once per distinct key: a renaming that maps
+    each of them to itself returns the block, and a repeated key the block
+    built first. A memo holds only blocks built from its own, so it forms
+    no reference cycle. A parsed or written block is renamed once and keeps
+    nothing. A missing id raises KeyError."""
+    memo = block._renamings
+    if memo is None:
+        return _renamed(block, value_map, block_map)
+    term = block.terminator
+    blocks = (block.id, *(target for target, _ in terminator_targets(term)))
+    values = [*block.params]
+    for i in block.instructions:
+        values += (i.result, *i.operands)
+    values += terminator_values(term)
+    key = (*map(block_map.__getitem__, blocks), *map(value_map.__getitem__, values))
+    if key == (*blocks, *values):
+        return block
+    if key not in memo:
+        if not memo:  # the first renaming it keeps
+            object.__setattr__(block, "_renamings", memo := {})
+        memo[key] = _renamed(block, value_map, block_map)
+    return memo[key]
+
+
+def _renamed(block: Block, value_map, block_map) -> Block:
     value = value_map.__getitem__
 
     def values(vals) -> tuple[ValueId, ...]:
@@ -910,7 +951,9 @@ def remap_block(
         Instruction(i.opcode, value_map[i.result], values(i.operands), i.imm)
         for i in block.instructions
     )
-    return Block(block_map[block.id], values(block.params), instructions, term)
+    renamed = Block(block_map[block.id], values(block.params), instructions, term)
+    object.__setattr__(renamed, "_renamings", ())
+    return renamed
 
 
 def remap(

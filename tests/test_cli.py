@@ -359,6 +359,28 @@ def test_opt_variants_and_trace_golden(capsys, name):
     assert out == golden(f"{name}_variants_trace.txt") + "\n"
 
 
+@pytest.mark.parametrize("dump", [[], ["--dump-variants", "--trace"]])
+def test_opt_costs_each_variant_once(monkeypatch, capsys, dump):
+    # `cost_of` reads the sequence's analyses through `cost.analyze` once
+    # per call, under whichever name it is called.
+    import epathopt.cost as cost
+
+    costed = []
+    analyze = cost.analyze
+
+    def counted(s):
+        costed.append(s.digest)
+        return analyze(s)
+
+    monkeypatch.setattr(cost, "analyze", counted)
+    code, out, err = run(capsys, ["opt", str(CORPUS_DIR / "two_loops.ir"), *dump])
+    assert code == 0 and err == ""
+    assert len(costed) == len(set(costed)) == 4
+    if dump:
+        assert out.count("; variant ") == 4
+        assert out == golden("two_loops_variants_trace.txt") + "\n"
+
+
 def run_child(argv, **kwargs):
     """`epath-opt` with `argv` in a child process, as `subprocess.run` returns it."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

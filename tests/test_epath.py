@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import partial
 
 import pytest
@@ -652,3 +654,71 @@ def test_disjoint_footprints_meet_at_one_target(saturated, perfbench_workloads):
                             ta, tb = a.sequence.digest, b.sequence.digest
                             assert targets[ta] & targets[tb], (f.name, a.site)
     assert squares[0] > 100 and squares[1] >= 500, squares
+
+
+def _count_renders(monkeypatch):
+    import epathopt.ir as ir
+
+    calls = []
+    render = ir.render_block
+
+    def counted(block):
+        calls.append(block)
+        return render(block)
+
+    monkeypatch.setattr(ir, "render_block", counted)
+    return calls
+
+
+def test_each_block_is_built_and_printed_once_per_path(monkeypatch):
+    # A block that an edit leaves alone is shared: the variants of a path
+    # hold far fewer `Block` objects than blocks, and each object is
+    # printed once. Made duplicates are printed too, so they are counted.
+    renders = _count_renders(monkeypatch)
+    inputs = list(load_corpus().values())
+    inputs += [fold_function(random.Random(seed)) for seed in range(60)]
+    objects = blocks = 0
+    for f in inputs:
+        outputs = []
+        p = EPath(from_function(f))
+        saturate(p, _recording(RULES, outputs))
+        stored = {id(b) for s in p.variants() for b in s.blocks}
+        made = {id(b) for out in outputs if "sequence" in vars(out) for b in out.sequence.blocks}
+        assert len(renders) <= len(stored | made), f.name
+        renders.clear()
+        objects += len(stored)
+        blocks += sum(len(s) for s in p.variants())
+    assert objects < 0.7 * blocks, (objects, blocks)
+
+
+@pytest.mark.parametrize("workload, limit", [("folds", 3500), ("loops", 2000)])
+def test_benchmark_inputs_print_each_stored_block_once(
+    monkeypatch, perfbench_workloads, workload, limit
+):
+    # No output of these inputs is a made duplicate, so every print is of a
+    # block some stored variant holds.
+    renders = _count_renders(monkeypatch)
+    objects = blocks = 0
+    for case in perfbench_workloads.generate(workload, 1):
+        p = saturated_path(parse_function(case.text))
+        objects += len({id(b) for s in p.variants() for b in s.blocks})
+        blocks += sum(len(s) for s in p.variants())
+    assert len(renders) <= objects < 0.3 * blocks and len(renders) < limit
+
+
+def test_a_dropped_path_frees_its_seeds_blocks_without_the_collector():
+    # Kept renamings point only from a block to the blocks built from it, so
+    # reference counting alone frees a path once it is dropped.
+    gc.collect()
+    gc.disable()
+    try:
+        seed = from_function(load_corpus()["nested_loops.ir"])
+        p = EPath(seed)
+        saturate(p, RULES)
+        kept = [b for b in seed.blocks if b._renamings]
+        assert kept and len(p) > 2
+        refs = [weakref.ref(b) for b in seed.blocks]
+        del seed, p, kept
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

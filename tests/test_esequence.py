@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,9 @@ from epathopt import (
     BrIf,
     EPath,
     Function,
+    Instruction,
     IrreducibleError,
+    Jump,
     Ret,
     analyze,
     canonical_hash,
@@ -24,6 +27,7 @@ from epathopt import (
     to_function,
     validate,
 )
+from epathopt.ir import remap_block
 from conftest import corpus_paths, golden, load_corpus
 from generators import irreducible_function, mutate, random_function
 from oracles import (
@@ -266,3 +270,64 @@ def test_parsed_irreducible_function_names_its_own_edge():
         with pytest.raises(IrreducibleError) as raised:
             analyze(s)
         assert raised.value.edge == expected, print_function(f)
+
+
+def _memo_free(f):
+    """`f` with each block rebuilt by `dataclasses.replace`: equal blocks
+    that keep no text and no renamings."""
+    return Function(f.name, f.params, f.entry, tuple(replace(b) for b in f.blocks))
+
+
+def _assert_same_canonical_form(f, why):
+    s, fresh = from_function(f), from_function(_memo_free(f))
+    assert s.blocks == fresh.blocks, why
+    assert (s.text, s.digest) == (fresh.text, fresh.digest), why
+    assert s.text == print_function(to_function(s)), why
+    return s
+
+
+def test_kept_renamings_and_texts_equal_a_fresh_canonicalization(saturated):
+    # Every stored block, and every block a rule output shares with its
+    # source, is renamed through its kept renamings and printed from its
+    # kept text; a copy that keeps neither must canonicalize the same.
+    rules = rules_named(["licm", "constfold"])
+    outputs = recalled = 0
+    for f, path in saturated.values():
+        stored = {id(b) for s in path.variants() for b in s.blocks}
+        for s in path.variants():
+            _assert_same_canonical_form(s.function, f.name)
+            for rule in rules:
+                for out in rule.apply(s):
+                    g = out.edit().finish()
+                    t = _assert_same_canonical_form(g, (f.name, out.site))
+                    recalled += sum(id(b) in stored and b not in g.blocks for b in t.blocks)
+                    outputs += 1
+    # Many output blocks are renamings recalled from a stored block's memo.
+    assert outputs > len(saturated) and recalled > outputs
+
+
+def test_a_canonical_block_renamed_three_ways():
+    f = parse_function(
+        "func @f(v0) {\nb0(v0):\n  v1 = iadd v0, v0\n  jump b1(v1)\n"
+        "b1(v2):\n  v3 = imul v2, v0\n  ret v3\n}"
+    )
+    block = from_function(f).blocks[1]
+    assert block == Block(1, (2,), (Instruction("imul", 3, (2, 0)),), Ret((3,)))
+    # Two different maps give two different blocks, each equal to what a
+    # block without kept renamings gives, and a repeated map the same block.
+    shifted = ({0: 0, 2: 5, 3: 6}, {1: 4})
+    swapped = ({0: 2, 2: 0, 3: 1}, {1: 1})
+    a, b = remap_block(block, *shifted), remap_block(block, *swapped)
+    assert a == remap_block(replace(block), *shifted)
+    assert a == Block(4, (5,), (Instruction("imul", 6, (5, 0)),), Ret((6,)))
+    assert b == remap_block(replace(block), *swapped)
+    assert b == Block(1, (0,), (Instruction("imul", 1, (0, 2)),), Ret((1,)))
+    assert remap_block(block, *shifted) is a and remap_block(block, *swapped) is b
+    # A map that sends every id to itself gives the block itself.
+    assert remap_block(block, {v: v for v in range(4)}, {1: 1}) is block
+    # A map that lacks a value still fails canonicalization: nothing in `g`
+    # defines v0, which the canonical block reads.
+    lacking = Function("g", (7,), 0, (Block(0, (7,), (), Jump(1, (7,))), block))
+    with pytest.raises(ValueError, match="invalid function @g"):
+        from_function(lacking)
+    assert remap_block(block, *shifted) is a
