@@ -9,12 +9,13 @@ Canonicalization (`from_function`, the one constructor) renames its
 source's blocks once, prints the canonical text from those blocks and
 digests it, and validates nothing; a rule's `Rewrite` makes its sequence
 when first read. A canonical block keeps its renamings and its text, so
-a block that variants share is built and printed once per e-path. The
-sequence's one `Function` wraps the canonical blocks when first read,
-after its source is validated, and its `analyses` add reducibility: that
-is the one place a sequence is checked, and both name what they find in
-the source's own block ids. `EPath` analyzes what it stores, so it is the
-one trust gate.
+a block that variants share is built and printed once per e-path. A
+sequence keeps only those blocks: its text is joined from theirs when
+read, never stored a second time. The sequence's one `Function` wraps the
+canonical blocks when first read, after its source is validated, and its
+`analyses` add reducibility: that is the one place a sequence is checked,
+and both name what they find in the source's own block ids. `EPath`
+analyzes what it stores, so it is the one trust gate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from functools import cached_property
 from .analysis import Analyses, IrreducibleError
 from .ir import (
     Block,
-    BlockId,
     Function,
     ValueId,
     print_function,
@@ -42,21 +42,29 @@ DIGEST_BYTES = 8
 class ESequence:
     """An immutable region, made only by `from_function`.
 
-    Equality and hashing go by `text`, the canonical printed form, which
-    encodes the structure one to one. `function` is validated on first use.
-    `source_rpo` is its source's reverse postorder: canonical block i is the
-    source block `source_rpo[i]`, the one renaming fact a sequence keeps."""
+    A sequence holds its params, its canonical `blocks` (block i has id i),
+    the `digest` of its text and `source_rpo`, its source's reverse
+    postorder: canonical block i is the source block `source_rpo[i]`, the
+    one renaming fact a sequence keeps. `text`, the canonical printed form,
+    is joined from the texts the blocks keep whenever it is read. Equality
+    goes by `text`, which encodes the structure one to one, and hashing by
+    `digest`, its hash. Reading these validates nothing: `function` is
+    validated on first use."""
 
-    def __init__(self, params: tuple[ValueId, ...], text: str, source: Function, blocks):
-        self.params, self.text, self.digest = params, text, _digest(text)
-        self.source_rpo: tuple[BlockId, ...] = tuple(source.rpo)
-        self._source, self._blocks = source, blocks
+    def __init__(self, params: tuple[ValueId, ...], blocks: tuple[Block, ...], source: Function):
+        self.params, self.blocks, self._source = params, blocks, source
+        self.digest, self.source_rpo = _digest(self.text), tuple(source.rpo)
+
+    @property
+    def text(self) -> str:
+        """The canonical printed form, joined from the blocks' kept texts."""
+        return render_function("s", self.params, self.blocks)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ESequence) and self.text == other.text
+        return self is other or isinstance(other, ESequence) and self.text == other.text
 
     def __hash__(self) -> int:
-        return hash(self.text)
+        return hash(self.digest)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -71,15 +79,10 @@ class ESequence:
         canonical function is walked or solved. Raises ValueError listing
         the violations of an invalid source, and keeps nothing."""
         _require_valid(source := self._source)
-        f = Function("s", self.params, 0, self._blocks)
+        f = Function("s", self.params, 0, self.blocks)
         f.__dict__.update(rpo=[*range(len(f.blocks))], idom_positions=source.idom_positions)
-        self._source = self._blocks = None  # release the source
+        self._source = None  # release the source
         return f
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        """Blocks in canonical order (block i has id i)."""
-        return self.function.blocks
 
     @cached_property
     def analyses(self) -> Analyses:
@@ -101,13 +104,14 @@ def from_function(f: Function) -> ESequence:
     are renumbered in definition order (entry params first, then each
     block's params and instruction result). One pass over `f.rpo`, the walk
     validation shares, builds the block and value maps; then `remap_block`
-    renames each reached block once, and `render_function` prints the
-    renamed blocks: the text is exactly `print_function` of the canonical
-    function named `s`, and the digest is its blake2b. The value map is
-    complete before any block is renamed, so an invalid `f` that uses a
-    value before defining it still canonicalizes. A block `f` shares with
-    a canonical source keeps its renamings and its text, so renaming it
-    under a map seen before, or under none, builds and prints nothing.
+    renames each reached block once, and the sequence keeps those blocks
+    and the blake2b digest of the text `render_function` prints from them,
+    exactly `print_function` of the canonical function named `s`; the text
+    itself is not kept. The value map is complete before any block is
+    renamed, so an invalid `f` that uses a value before defining it still
+    canonicalizes. A block `f` shares with a canonical source keeps its
+    renamings and its text, so renaming it under a map seen before, or
+    under none, builds and prints nothing.
 
     Validity and reducibility do not depend on names, so `f` is checked
     only when the sequence's `function` and `analyses` are first read, in
@@ -133,7 +137,7 @@ def from_function(f: Function) -> ESequence:
     if blocks is None or len(rpo) != len(f.blocks):
         _require_valid(f)
         raise ValueError(f"invalid function @{f.name}: cannot canonicalize")
-    return ESequence(params, render_function("s", params, blocks), f, blocks)
+    return ESequence(params, blocks, f)
 
 
 def _require_valid(f: Function) -> None:
@@ -144,16 +148,16 @@ def _require_valid(f: Function) -> None:
 
 def to_function(s: ESequence, name: str = "s") -> Function:
     """The sequence as a function named `name`; inverts `from_function`.
-    Under the default name this is `s.function` itself."""
-    if name == "s":
-        return s.function
-    return Function(name, s.params, 0, s.blocks)
+    Under the default name this is `s.function` itself. Either way it
+    reads `s.function`, so an invalid source raises ValueError."""
+    f = s.function
+    return f if name == "s" else Function(name, s.params, 0, f.blocks)
 
 
 def canonical_hash(s: ESequence) -> str:
     """Deterministic structural digest, stable across processes: the digest
-    of `print_function(s.function)`. It prints the blocks `s.text` was
-    printed from, from the texts they keep, so it equals `s.digest`."""
+    of `print_function(s.function)`. It prints the sequence's own blocks,
+    from the texts they keep, which is `s.text`, so it equals `s.digest`."""
     return _digest(print_function(s.function))
 
 

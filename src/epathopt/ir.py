@@ -406,10 +406,12 @@ class _LineScanner:
         sign = "-" if self.try_take("-") else ""
         if not (digits := self.digits()):
             raise self.error("expected integer")
-        imm = parse_integer(sign + digits) if len(digits.lstrip("0")) <= _MAX_DIGITS else None
-        if imm is None or not I64_MIN <= imm <= I64_MAX:
-            raise self.error("iconst immediate out of 64-bit range")
-        return imm
+        try:
+            if I64_MIN <= (imm := parse_integer(sign + digits)) <= I64_MAX:
+                return imm
+        except ValueError:  # more digits than `parse_integer` takes
+            pass
+        raise self.error("iconst immediate out of 64-bit range")
 
     def indexed(self, prefix: str, what: str) -> int:
         self.skip_ws()

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from functools import partial
@@ -419,6 +420,23 @@ def test_an_invalid_rule_output_fails_when_its_function_is_read():
             out.function
 
 
+def test_an_invalid_sequence_reads_its_canonical_form_unchecked():
+    # Blocks, length, text and digest need no valid source: only `function`
+    # checks it, and `EPath` reads that for everything it stores.
+    s = from_function(_undominated())
+    assert len(s) == len(s.blocks) == 4 and [b.id for b in s.blocks] == [0, 1, 2, 3]
+    assert s.text.startswith("func @s(v0) {\nb0(v0):\n  brif v0, b1(), b2()")
+    assert s.digest == hashlib.blake2b(s.text.encode(), digest_size=8).hexdigest()
+    assert "function" not in vars(s)
+    with pytest.raises(ValueError, match="b40: use of v1 not dominated"):
+        EPath(s)
+    p = EPath(seed_of("sec2_loop.ir"))
+    before = (len(p), p.digests(), p.edges)
+    with pytest.raises(ValueError, match="b40: use of v1 not dominated"):
+        p.insert(s, RewriteEdge(p.seed, s.digest, "untrusted"))
+    assert (len(p), p.digests(), p.edges) == before
+
+
 def _stored_is_analyzed(s):
     assert "analyses" in vars(s)
     assert validate(s.function) == []
@@ -611,10 +629,9 @@ def test_a_stored_sequence_keeps_only_its_canonical_form(saturated):
         for s in p.variants():
             assert s.function.blocks and s.analyses
             assert vars(s).keys() == {
-                "params", "text", "digest", "source_rpo", "_source", "_blocks", "function",
-                "analyses",
+                "params", "blocks", "digest", "source_rpo", "_source", "function", "analyses",
             }
-            assert s._source is None and s._blocks is None
+            assert s._source is None
         if generator == "fold_function" and len(fold_inputs) < 20:
             fold_inputs.append(f)
     # Only the rewrites that no commuting square predicts are made.
@@ -704,6 +721,37 @@ def test_benchmark_inputs_print_each_stored_block_once(
         objects += len({id(b) for s in p.variants() for b in s.blocks})
         blocks += sum(len(s) for s in p.variants())
     assert len(renders) <= objects < 0.3 * blocks and len(renders) < limit
+
+
+@pytest.mark.parametrize("workload", ["folds", "loops"])
+def test_benchmark_inputs_print_each_made_sequence_once(monkeypatch, perfbench_workloads, workload):
+    # These inputs make no duplicates, so each text is printed once, for its
+    # digest; a predicted output is inserted as the stored sequence itself,
+    # whose text the duplicate check does not print.
+    import epathopt.esequence as esequence
+    import epathopt.ir as ir
+    import epathopt.rewrite as rewrite
+
+    made, printed = [], []
+    render, canonicalize = ir.render_function, esequence.from_function
+
+    def counted_render(*args):
+        printed.append(args)
+        return render(*args)
+
+    def counted_from_function(f):
+        made.append(f)
+        return canonicalize(f)
+
+    for module in (ir, esequence):
+        monkeypatch.setattr(module, "render_function", counted_render)
+    monkeypatch.setattr(rewrite, "from_function", counted_from_function)
+    predicted = 0
+    for case in perfbench_workloads.generate(workload, 1):
+        report = saturate(EPath(counted_from_function(parse_function(case.text))), RULES)
+        assert report.reached_fixed_point and report.deduplicated == report.predicted
+        predicted += report.predicted
+    assert len(printed) == len(made) and predicted > 0
 
 
 def test_a_dropped_path_frees_its_seeds_blocks_without_the_collector():
