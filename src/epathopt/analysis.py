@@ -195,7 +195,7 @@ def def_use(f: Function) -> dict[ValueId, tuple[DefSite, tuple[UseSite, ...]]]:
     for b in sorted(f.blocks, key=lambda blk: blk.id):
         for i, v in enumerate(b.params):
             defs[v] = ParamDef(b.id, i)
-        for instr in b.instructions:
+        if instr := b.instruction:
             defs[instr.result] = InstrDef(b.id)
             for i, v in enumerate(instr.operands):
                 uses.setdefault(v, []).append(InstrUse(b.id, i))

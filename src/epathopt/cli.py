@@ -17,7 +17,9 @@ it stores 89569 variants of `tests/corpus/diamond_consts.ir`.
 
 Exit codes: 0 success, 1 parse/validate error (or check mismatch), 2
 irreducible control flow or usage errors. A reader that closes stdout early
-gets exit code 1 and no traceback.
+gets exit code 1 and no traceback; so does a stdout whose encoding cannot
+write the output (say, a function name outside ASCII under
+`PYTHONIOENCODING=ascii`), after an error on stderr.
 """
 
 from __future__ import annotations
@@ -219,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout early. Point stdout at devnull so the
         # flush at interpreter exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except UnicodeEncodeError as exc:
+        print(f"epath-opt: error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
     return code
 

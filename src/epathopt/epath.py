@@ -66,12 +66,13 @@ class EPath:
     def insert(self, s: ESequence, edge: RewriteEdge) -> bool:
         """Add a sequence with its provenance edge.
 
-        Returns True if the sequence was new, False if one with the same
-        canonical text was already present (the edge is still recorded if
-        itself new). Existing entries are never touched; a stored sequence
-        with the same digest but another text raises RuntimeError. A new
-        sequence is analyzed first: an invalid one raises ValueError, an
-        irreducible one IrreducibleError, and the path is left unchanged.
+        Returns True if the sequence was new, False if an equal one, with
+        the same params and canonical blocks, was already present (the edge
+        is still recorded if itself new). Existing entries are never
+        touched; a stored sequence with the same digest that is not equal
+        raises RuntimeError. A new sequence is analyzed first: an invalid
+        one raises ValueError, an irreducible one IrreducibleError, and the
+        path is left unchanged.
         """
         if edge.source not in self._sequences:
             raise ValueError(f"unknown source digest {edge.source}")

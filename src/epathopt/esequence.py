@@ -47,9 +47,10 @@ class ESequence:
     postorder: canonical block i is the source block `source_rpo[i]`, the
     one renaming fact a sequence keeps. `text`, the canonical printed form,
     is joined from the texts the blocks keep whenever it is read. Equality
-    goes by `text`, which encodes the structure one to one, and hashing by
-    `digest`, its hash. Reading these validates nothing: `function` is
-    validated on first use."""
+    goes by `params` and `blocks`, which `text` encodes one to one, so no
+    text is joined to compare; since canonical blocks are shared, that is
+    mostly identity checks. Hashing goes by `digest`. Reading these
+    validates nothing: `function` is validated on first use."""
 
     def __init__(self, params: tuple[ValueId, ...], blocks: tuple[Block, ...], source: Function):
         self.params, self.blocks, self._source = params, blocks, source
@@ -61,7 +62,9 @@ class ESequence:
         return render_function("s", self.params, self.blocks)
 
     def __eq__(self, other) -> bool:
-        return self is other or isinstance(other, ESequence) and self.text == other.text
+        return self is other or isinstance(other, ESequence) and (
+            self.params == other.params and self.blocks == other.blocks
+        )
 
     def __hash__(self) -> int:
         return hash(self.digest)
@@ -128,7 +131,7 @@ def from_function(f: Function) -> ESequence:
         for block in source:
             for v in block.params:
                 value_map[v] = len(value_map)
-            for instr in block.instructions:
+            if instr := block.instruction:
                 value_map[instr.result] = len(value_map)
         params = tuple(value_map[v] for v in f.params)
         blocks = tuple(remap_block(block, value_map, block_map) for block in source)

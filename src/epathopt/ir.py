@@ -1,8 +1,9 @@
 """Restricted ANF control-flow IR: types, text format, validation, interpreter.
 
 Every basic block holds at most one instruction plus a parameterized
-terminator; values are in SSA form realized with block parameters instead of
-phi nodes. The textual grammar:
+terminator: `Block.instruction` is one `Instruction` or None, and the
+grammar below admits no second instruction line. Values are in SSA form
+realized with block parameters instead of phi nodes. The textual grammar:
 
     file      := func+
     func      := "func" "@" ident "(" valuelist? ")" "{" block+ "}"
@@ -101,11 +102,9 @@ Terminator = Jump | BrIf | Ret
 
 @dataclass(frozen=True)
 class Block:
-    """A basic block.
-
-    `instructions` is meant to hold zero or one entry; longer tuples are
-    representable so `validate` can flag them on programmatically built
-    functions.
+    """A basic block: its params, at most one `instruction` (None if it has
+    none) and its terminator. The ANF restriction is this type: no block can
+    hold a second instruction.
 
     A block is immutable, so it may keep what is derived from it: its text,
     once `render_function` has printed it, and, if `remap_block` built it,
@@ -115,15 +114,11 @@ class Block:
 
     id: BlockId
     params: tuple[ValueId, ...]
-    instructions: tuple[Instruction, ...]
+    instruction: Instruction | None
     terminator: Terminator
 
     _text = None  # "\n".join(render_block(self)), set on first print
     _renamings = None  # on blocks `remap_block` built: () until it keeps a renaming
-
-    @property
-    def instruction(self) -> Instruction | None:
-        return self.instructions[0] if self.instructions else None
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,7 @@ class Function:
         read-only. In SSA each value has one definition, so this is the one
         value-to-definition map the rules read."""
         defs = {v: b.id for b in self.blocks for v in b.params}
-        defs.update({i.result: b.id for b in self.blocks for i in b.instructions})
+        defs.update({b.instruction.result: b.id for b in self.blocks if b.instruction})
         return defs
 
 
@@ -592,12 +587,10 @@ def parse_file(text: str) -> list[Function]:
         label_lines: list[int] = []
         while label := _parse_label(*next_line("block or '}'")):
             label_lines.append(line_no)
-            instrs: tuple[Instruction, ...] = ()
-            statement = _parse_statement(*next_line("instruction or terminator"), True)
+            instr, statement = None, _parse_statement(*next_line("instruction or terminator"), True)
             if type(statement) is Instruction:
-                instrs = (statement,)
-                statement = _parse_statement(*next_line("terminator"), False)
-            blocks.append(Block(*label, instrs, statement))
+                instr, statement = statement, _parse_statement(*next_line("terminator"), False)
+            blocks.append(Block(*label, instr, statement))
         if not blocks:
             raise ParseError("function has no blocks", header_no)
 
@@ -640,7 +633,7 @@ def render_block(block: Block) -> list[str]:
     statements indented by two spaces."""
     value_name, block_name = render_value, render_blockref
     lines = [f"{block_name(block.id)}({', '.join(map(value_name, block.params))}):"]
-    for instr in block.instructions:
+    if instr := block.instruction:
         if instr.opcode == "iconst":
             lines.append(f"  {value_name(instr.result)} = iconst {instr.imm}")
         else:
@@ -689,8 +682,10 @@ def print_function(f: Function) -> str:
 
 def validate(f: Function) -> list[str]:
     """Return every violated IR invariant, one found inside a block prefixed
-    with its name ("bN: "); an empty list means valid. A function is checked
-    once: later calls return a copy of its kept verdict, `f.violations`."""
+    with its name ("bN: "); an empty list means valid. The ANF restriction
+    is not among them: `Block` holds one instruction or none by its type. A
+    function is checked once: later calls return a copy of its kept verdict,
+    `f.violations`."""
     return list(f.violations)
 
 
@@ -728,7 +723,7 @@ def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
     for b in f.blocks:
         for v in b.params:
             defs[v] = defs.get(v, 0) + 1
-        for instr in b.instructions:
+        if instr := b.instruction:
             defs[instr.result] = defs.get(instr.result, 0) + 1
     for v in sorted(v for v, n in defs.items() if n > 1):
         violations.append(f"{render_value(v)}: defined more than once")
@@ -739,12 +734,9 @@ def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
     entry_has_preds = False
     blocks = sorted(f.blocks, key=lambda blk: blk.id)
     for b in blocks:
-        if len(b.instructions) > 1:
-            violations.append(f"b{b.id}: ANF: >1 instruction")
-        for instr in b.instructions:
-            if instr.opcode not in OPCODE_ARITY:
-                violations.append(f"b{b.id}: unknown opcode {instr.opcode!r}")
-                continue
+        if (instr := b.instruction) and instr.opcode not in OPCODE_ARITY:
+            violations.append(f"b{b.id}: unknown opcode {instr.opcode!r}")
+        elif instr:
             arity = OPCODE_ARITY[instr.opcode]
             if len(instr.operands) != arity:
                 violations.append(
@@ -793,7 +785,7 @@ def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
         mask = 1 << i
         for v in b.params:
             mask |= bit[v]
-        for instr in b.instructions:
+        if instr := b.instruction:
             mask |= bit[instr.result]
         gen[bid] = mask
     avail_in = must_dataflow(f, gen)
@@ -803,7 +795,7 @@ def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
             continue  # unreachable
         for v in b.params:
             scope |= bit[v]
-        for instr in b.instructions:
+        if instr := b.instruction:
             for v in instr.operands:
                 if not scope & bit.get(v, 0):
                     violations.append(_use_violation(b, v, bit))
@@ -863,7 +855,7 @@ def interpret(f: Function, args: list[int], fuel: int) -> InterpResult:
         block = blocks[current]
         if incoming:
             env.update(zip(block.params, incoming))
-        for instr in block.instructions:
+        if instr := block.instruction:
             env[instr.result] = _step(instr, env, effects)
 
         term = block.terminator
@@ -929,7 +921,7 @@ def remap_block(
     term = block.terminator
     blocks = (block.id, *(target for target, _ in terminator_targets(term)))
     values = [*block.params]
-    for i in block.instructions:
+    if i := block.instruction:
         values += (i.result, *i.operands)
     values += terminator_values(term)
     key = (*map(block_map.__getitem__, blocks), *map(value_map.__getitem__, values))
@@ -949,11 +941,9 @@ def _renamed(block: Block, value_map, block_map) -> Block:
         return tuple(map(value, vals))
 
     term = retarget(block.terminator, lambda t, args: (block_map[t], values(args)), value)
-    instructions = tuple(
-        Instruction(i.opcode, value_map[i.result], values(i.operands), i.imm)
-        for i in block.instructions
-    )
-    renamed = Block(block_map[block.id], values(block.params), instructions, term)
+    if instr := block.instruction:
+        instr = Instruction(instr.opcode, value(instr.result), values(instr.operands), instr.imm)
+    renamed = Block(block_map[block.id], values(block.params), instr, term)
     object.__setattr__(renamed, "_renamings", ())
     return renamed
 

@@ -148,7 +148,7 @@ def _match_patterns(patterns: tuple[ExprPattern, ...], f: Function) -> list[list
     for pat, matches in zip(patterns, found):
         by_root.setdefault(pat.tree.opcode, []).append((pat, matches))
     for b in f.blocks:
-        for instr in b.instructions:
+        if instr := b.instruction:
             for pat, matches in by_root.get(instr.opcode, ()):
                 bindings = [(pat.root, instr.result)]
                 if _match_node(pat.tree, instr, f, bindings):
@@ -262,11 +262,11 @@ class _Editor:
 
     def set_instruction(self, bid: BlockId, instr: Instruction | None) -> None:
         b = self.blocks[bid]
-        self.add_block(Block(bid, b.params, (instr,) if instr else (), b.terminator))
+        self.add_block(Block(bid, b.params, instr, b.terminator))
 
     def set_terminator(self, bid: BlockId, term: Terminator) -> None:
         b = self.blocks[bid]
-        self.add_block(Block(bid, b.params, b.instructions, term))
+        self.add_block(Block(bid, b.params, b.instruction, term))
 
     def add_block(self, block: Block) -> None:
         self.blocks[block.id] = block
@@ -369,7 +369,7 @@ def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> _Editor:
         # results keep dominating their uses inside the loop.
         merge = ed.fresh_block()
         fresh = tuple(ed.fresh_value() for _ in ed.blocks[header].params)
-        ed.add_block(Block(merge, fresh, (), Jump(chain[0], ())))
+        ed.add_block(Block(merge, fresh, None, Jump(chain[0], ())))
         for p in entry_preds:
             term = ed.blocks[p].terminator
             ed.set_terminator(p, retarget(term, lambda t, a: (merge, a) if t == header else (t, a)))
@@ -377,7 +377,7 @@ def _hoist(f: Function, loop: LoopRegion, split: LicmSplit) -> _Editor:
 
     for i, (bid, instr) in enumerate(zip(chain, hoisted)):
         term = Jump(chain[i + 1], ()) if i + 1 < len(chain) else Jump(header, final_args)
-        ed.add_block(Block(bid, (), (instr,), term))
+        ed.add_block(Block(bid, (), instr, term))
 
     return ed
 

@@ -32,7 +32,7 @@ class _Builder:
         return self.next_block - 1
 
     def emit(self, bid, params, instr, term):
-        self.blocks.append(Block(bid, tuple(params), (instr,) if instr else (), term))
+        self.blocks.append(Block(bid, tuple(params), instr, term))
 
 
 def _random_instr(builder, scope):
@@ -263,7 +263,7 @@ def mutate(rng: random.Random, f: Function, kind: str) -> Function:
     reachability and uses."""
     blocks = {b.id: b for b in f.blocks}
     non_entry = [bid for bid in blocks if bid != f.entry]
-    with_instr = [bid for bid, b in blocks.items() if b.instructions]
+    with_instr = [bid for bid, b in blocks.items() if b.instruction]
 
     if kind == "drop_definition":
         sites = [(bid, "instr") for bid in with_instr]
@@ -273,7 +273,7 @@ def mutate(rng: random.Random, f: Function, kind: str) -> Function:
         bid, what = rng.choice(sites)
         b = blocks[bid]
         if what == "instr":
-            blocks[bid] = replace(b, instructions=())
+            blocks[bid] = replace(b, instruction=None)
         else:
             params = list(b.params)
             params.pop(rng.randrange(len(params)))
@@ -283,8 +283,9 @@ def mutate(rng: random.Random, f: Function, kind: str) -> Function:
             return f
         src = rng.choice(with_instr)
         dst = rng.choice([bid for bid in blocks if bid != src])
-        copied = blocks[dst].instructions + blocks[src].instructions
-        blocks[dst] = replace(blocks[dst], instructions=copied)
+        # Replaces dst's own instruction, if any; the copied result is then
+        # defined twice.
+        blocks[dst] = replace(blocks[dst], instruction=blocks[src].instruction)
     elif kind == "delete_block":
         if not non_entry:
             return f

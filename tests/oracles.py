@@ -30,6 +30,11 @@ from epathopt import (
 )
 
 
+def defined_by(b):
+    """The values block `b` defines: its params, then its instruction's result."""
+    return (*b.params, b.instruction.result) if b.instruction else b.params
+
+
 def _edges(f):
     out = []
     for b in f.blocks:
@@ -284,7 +289,7 @@ def fixpoint_invariance(loop, f):
     for b in f.blocks:
         for v in b.params:
             defined_in[v] = (b.id, False)
-        for instr in b.instructions:
+        if instr := b.instruction:
             defined_in[instr.result] = (b.id, True)
 
     def invariant_operand(v, found):
@@ -313,7 +318,9 @@ def per_block_cost(s, table=None):
     coefficients = {}
     for b in s.blocks:
         depth = sum(1 for loop in loops if b.id in loop.body)
-        cost = table.terminator_cost + sum(table.opcode_cost(i.opcode) for i in b.instructions)
+        cost = table.terminator_cost
+        if b.instruction:
+            cost += table.opcode_cost(b.instruction.opcode)
         coefficients[depth] = coefficients.get(depth, 0) + cost
     return CostPoly(tuple(coefficients.get(k, 0) for k in range(max(coefficients, default=0) + 1)))
 
@@ -344,7 +351,7 @@ def brute_validate(f):
 
     defining = {}
     for b in f.blocks:
-        for v in (*b.params, *(i.result for i in b.instructions)):
+        for v in defined_by(b):
             defining.setdefault(v, set()).add(b.id)
 
     def connected_avoiding_defs(bid, v):
@@ -360,7 +367,7 @@ def brute_validate(f):
             continue
         local = set(b.params)
         uses = []
-        for instr in b.instructions:
+        if instr := b.instruction:
             uses.extend((v, set(local)) for v in instr.operands)
             local.add(instr.result)
         uses.extend((v, local) for v in terminator_values(b.terminator))
@@ -391,7 +398,7 @@ def brute_interpret(f, args, fuel):
         fuel -= 1
         block = f.block(current)
         env.update(zip(block.params, incoming))
-        for instr in block.instructions:
+        if instr := block.instruction:
             env[instr.result] = _brute_step(instr, env, effects)
         term = block.terminator
         if isinstance(term, Ret):

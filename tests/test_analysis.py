@@ -179,14 +179,14 @@ def test_dominators_match_brute_force_on_mutated_graphs():
 # Functions whose validation stops before its solve, so no dominators exist.
 UNSOLVED = {
     "duplicate block id b1": Function("f", (), 0, (
-        Block(0, (), (), Jump(1, ())),
-        Block(1, (), (), Ret(())),
-        Block(1, (), (), Jump(0, ())),
+        Block(0, (), None, Jump(1, ())),
+        Block(1, (), None, Ret(())),
+        Block(1, (), None, Jump(0, ())),
     )),
-    "entry b5 not defined": Function("f", (), 5, (Block(0, (), (), Ret(())),)),
+    "entry b5 not defined": Function("f", (), 5, (Block(0, (), None, Ret(())),)),
     "jump to undefined block b7": Function("f", (), 0, (
-        Block(0, (), (), Jump(1, ())),
-        Block(1, (), (), Jump(7, ())),
+        Block(0, (), None, Jump(1, ())),
+        Block(1, (), None, Jump(7, ())),
     )),
 }
 

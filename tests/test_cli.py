@@ -405,6 +405,18 @@ def test_opt_broken_pipe_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["opt"], ["check", "--args", "3"]])
+def test_a_name_stdout_cannot_encode_exits_1_without_traceback(tmp_path, monkeypatch, argv):
+    src = tmp_path / "f.ir"
+    src.write_text("func @\u00e9t\u00e9(v0) {\nb0(v0):\n  ret v0\n}\n", encoding="utf-8")
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    proc = run_child([argv[0], str(src), *argv[1:]], capture_output=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("epath-opt: error: cannot write to stdout: 'ascii' codec")
+    assert "Traceback" not in proc.stderr
+
+
 ZEROS, LONG = "0" * 5000, "1" * 5000
 
 

@@ -298,16 +298,16 @@ def test_saturate_rejects_new_invalid_output():
     # The parser rejects these, so they are built directly.
     # v1 is defined on one arm of the diamond only, then used at the merge.
     undominated = Function("f", (0,), 0, (
-        Block(0, (0,), (), BrIf(0, 1, (), 2, ())),
-        Block(1, (), (Instruction("iconst", 1, (), 1),), Jump(3, ())),
-        Block(2, (), (), Jump(3, ())),
-        Block(3, (), (), Ret((1,))),
+        Block(0, (0,), None, BrIf(0, 1, (), 2, ())),
+        Block(1, (), Instruction("iconst", 1, (), 1), Jump(3, ())),
+        Block(2, (), None, Jump(3, ())),
+        Block(3, (), None, Ret((1,))),
     ))
     with pytest.raises(ValueError, match="invalid function.*not dominated"):
         saturate(EPath(seed_of("sec2_loop.ir")), [_emitting(undominated)])
 
     # Renaming cannot map v7; the rule output still fails with the violation.
-    undefined = Function("f", (0,), 0, (Block(0, (0,), (), Ret((7,))),))
+    undefined = Function("f", (0,), 0, (Block(0, (0,), None, Ret((7,))),))
     with pytest.raises(ValueError, match="invalid function.*v7"):
         saturate(EPath(seed_of("sec2_loop.ir")), [_emitting(undefined)])
 
@@ -361,10 +361,10 @@ def _undominated():
     """v1 is defined on one arm of the diamond only, then used at the merge;
     block ids differ from the canonical ones. The parser rejects it."""
     return Function("f", (0,), 10, (
-        Block(10, (0,), (), BrIf(0, 20, (), 30, ())),
-        Block(20, (), (Instruction("iconst", 1, (), 1),), Jump(40, ())),
-        Block(30, (), (), Jump(40, ())),
-        Block(40, (), (), Ret((1,))),
+        Block(10, (0,), None, BrIf(0, 20, (), 30, ())),
+        Block(20, (), Instruction("iconst", 1, (), 1), Jump(40, ())),
+        Block(30, (), None, Jump(40, ())),
+        Block(40, (), None, Ret((1,))),
     ))
 
 
@@ -581,7 +581,7 @@ def _block_count_rule(footprint):
             if b.instruction and b.instruction.opcode == "iconst":
                 counted = Instruction("iconst", b.instruction.result, (), len(f.blocks))
                 blocks = tuple(
-                    Block(x.id, x.params, (counted,), x.terminator) if x is b else x
+                    Block(x.id, x.params, counted, x.terminator) if x is b else x
                     for x in f.blocks
                 )
                 edited = Function("s", f.params, f.entry, blocks)
@@ -723,17 +723,20 @@ def test_benchmark_inputs_print_each_stored_block_once(
     assert len(renders) <= objects < 0.3 * blocks and len(renders) < limit
 
 
-@pytest.mark.parametrize("workload", ["folds", "loops"])
+@pytest.mark.parametrize("workload", ["folds", "loops", "fuzz"])
 def test_benchmark_inputs_print_each_made_sequence_once(monkeypatch, perfbench_workloads, workload):
-    # These inputs make no duplicates, so each text is printed once, for its
-    # digest; a predicted output is inserted as the stored sequence itself,
-    # whose text the duplicate check does not print.
+    # Each made sequence's text is printed once, for its digest. A predicted
+    # output is inserted as the stored sequence itself, and a made duplicate
+    # is compared with the stored one by its blocks, so the duplicate check
+    # prints no text. Only `fuzz` makes duplicates.
     import epathopt.esequence as esequence
     import epathopt.ir as ir
     import epathopt.rewrite as rewrite
 
     made, printed = [], []
     render, canonicalize = ir.render_function, esequence.from_function
+    # Made before counting starts: `fuzz` prints its generated functions.
+    texts = [case.text for case in perfbench_workloads.generate(workload, 1)]
 
     def counted_render(*args):
         printed.append(args)
@@ -746,12 +749,14 @@ def test_benchmark_inputs_print_each_made_sequence_once(monkeypatch, perfbench_w
     for module in (ir, esequence):
         monkeypatch.setattr(module, "render_function", counted_render)
     monkeypatch.setattr(rewrite, "from_function", counted_from_function)
-    predicted = 0
-    for case in perfbench_workloads.generate(workload, 1):
-        report = saturate(EPath(counted_from_function(parse_function(case.text))), RULES)
-        assert report.reached_fixed_point and report.deduplicated == report.predicted
+    predicted = duplicates_made = 0
+    for text in texts:
+        report = saturate(EPath(counted_from_function(parse_function(text))), RULES)
+        assert report.reached_fixed_point
         predicted += report.predicted
+        duplicates_made += report.deduplicated - report.predicted
     assert len(printed) == len(made) and predicted > 0
+    assert (duplicates_made > 0) == (workload == "fuzz"), duplicates_made
 
 
 def test_a_dropped_path_frees_its_seeds_blocks_without_the_collector():

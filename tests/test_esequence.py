@@ -142,10 +142,10 @@ def _branch_chain(rng, n):
     the entry's parameter to the next, the last returns it."""
     ids = rng.sample(range(3 * n), n)
     blocks = [
-        Block(bid, (0,) if i == 0 else (), (), BrIf(0, nxt, (), nxt, ()))
+        Block(bid, (0,) if i == 0 else (), None, BrIf(0, nxt, (), nxt, ()))
         for i, (bid, nxt) in enumerate(zip(ids, ids[1:]))
     ]
-    blocks.append(Block(ids[-1], (), (), Ret((0,))))
+    blocks.append(Block(ids[-1], (), None, Ret((0,))))
     return Function("g", (0,), ids[0], tuple(blocks))
 
 
@@ -312,22 +312,22 @@ def test_a_canonical_block_renamed_three_ways():
         "b1(v2):\n  v3 = imul v2, v0\n  ret v3\n}"
     )
     block = from_function(f).blocks[1]
-    assert block == Block(1, (2,), (Instruction("imul", 3, (2, 0)),), Ret((3,)))
+    assert block == Block(1, (2,), Instruction("imul", 3, (2, 0)), Ret((3,)))
     # Two different maps give two different blocks, each equal to what a
     # block without kept renamings gives, and a repeated map the same block.
     shifted = ({0: 0, 2: 5, 3: 6}, {1: 4})
     swapped = ({0: 2, 2: 0, 3: 1}, {1: 1})
     a, b = remap_block(block, *shifted), remap_block(block, *swapped)
     assert a == remap_block(replace(block), *shifted)
-    assert a == Block(4, (5,), (Instruction("imul", 6, (5, 0)),), Ret((6,)))
+    assert a == Block(4, (5,), Instruction("imul", 6, (5, 0)), Ret((6,)))
     assert b == remap_block(replace(block), *swapped)
-    assert b == Block(1, (0,), (Instruction("imul", 1, (0, 2)),), Ret((1,)))
+    assert b == Block(1, (0,), Instruction("imul", 1, (0, 2)), Ret((1,)))
     assert remap_block(block, *shifted) is a and remap_block(block, *swapped) is b
     # A map that sends every id to itself gives the block itself.
     assert remap_block(block, {v: v for v in range(4)}, {1: 1}) is block
     # A map that lacks a value still fails canonicalization: nothing in `g`
     # defines v0, which the canonical block reads.
-    lacking = Function("g", (7,), 0, (Block(0, (7,), (), Jump(1, (7,))), block))
+    lacking = Function("g", (7,), 0, (Block(0, (7,), None, Jump(1, (7,))), block))
     with pytest.raises(ValueError, match="invalid function @g"):
         from_function(lacking)
     assert remap_block(block, *shifted) is a

@@ -24,7 +24,7 @@ from epathopt import (
 from epathopt import ir
 from conftest import CORPUS_DIR, argument_vectors, closure, corpus_paths, golden, load_corpus
 from generators import MUTATIONS, fold_function, mutate, random_function
-from oracles import brute_interpret, brute_validate, reference_must_dataflow
+from oracles import brute_interpret, brute_validate, defined_by, reference_must_dataflow
 
 IDENTITY = "func @id(v0) {\nb0(v0):\n  ret v0\n}"
 
@@ -249,7 +249,8 @@ EDIT_ALPHABET = [*"0123456789", "\u0661", "_", "+", "-", "\t", "\xa0", ";", "(",
 # Spellings the scanner accepts and the patterns leave to it.
 SCANNER_ONLY = [
     "func @f() {\nb0():\n  v0 = iconst-5\n  ret v0\n}",
-    "func@f() {\nb0():\n  ret\n}",
+    # More digits than a pattern takes, all but one of them leading zeros.
+    "func @f(v" + "0" * 700 + "1) {\nb0(v1):\n  ret v1\n}",
     "func @f\u0661() {\nb0():\n  ret\n}",
     "func @\u00e9t\u00e9(v0) {\nb0(v0):\n  ret v0\n}",
 ]
@@ -341,18 +342,31 @@ def test_line_patterns_agree_with_the_scanner(monkeypatch):
     assert all(isinstance(outcome, list) for outcome in with_patterns[-len(SCANNER_ONLY) :])
 
 
-def test_printed_functions_parse_without_the_scanner(monkeypatch, corpus):
-    # Every line `print_function` writes for an ASCII-named function has a
-    # pattern; a typo in one would send its lines back to the scanner and
-    # lose the speed with every other test still passing.
-    scanned = []
+@pytest.fixture
+def scanned(monkeypatch):
+    """The lines `parse_file` hands to `_LineScanner`, in order."""
+    lines = []
 
     class CountedScanner(ir._LineScanner):
         def __init__(self, line_no, text):
-            scanned.append(text)
+            lines.append(text)
             super().__init__(line_no, text)
 
     monkeypatch.setattr(ir, "_LineScanner", CountedScanner)
+    return lines
+
+
+def test_every_scanner_only_spelling_reaches_the_scanner(scanned):
+    for text in SCANNER_ONLY:
+        scanned.clear()
+        parse_file(text)
+        assert scanned, text
+
+
+def test_printed_functions_parse_without_the_scanner(scanned, corpus):
+    # Every line `print_function` writes for an ASCII-named function has a
+    # pattern; a typo in one would send its lines back to the scanner and
+    # lose the speed with every other test still passing.
     rng = random.Random(0x6A7D)
     functions = list(corpus.values())
     functions += [random_function(rng, max_blocks=12, name=f"g{i}") for i in range(200)]
@@ -380,19 +394,21 @@ def test_parse_error_reports_column():
     assert exc.value.col > 1
 
 
-def test_validate_anf_violation_built_programmatically():
-    two = (
-        Instruction("iconst", 1, (), 1),
-        Instruction("iconst", 2, (), 2),
+def test_a_second_instruction_in_a_block_is_a_located_parse_error():
+    # The grammar admits at most one instruction per block, which is why
+    # `Block` holds one instruction or None.
+    text = "func @f() {\nb0():\n  v0 = iconst 1\n  v1 = iconst 2\n  ret v1\n}"
+    with pytest.raises(ParseError) as exc:
+        parse_function(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "expected terminator, got 'v1'", 4, 5
     )
-    f = Function("f", (0,), 0, (Block(0, (0,), two, Ret(())),))
-    assert any("ANF: >1 instruction" in v for v in validate(f))
 
 
 def test_validate_terminator_arity():
     blocks = (
-        Block(0, (), (), Jump(1, ())),
-        Block(1, (3,), (), Ret(())),
+        Block(0, (), None, Jump(1, ())),
+        Block(1, (3,), None, Ret(())),
     )
     f = Function("f", (), 0, blocks)
     assert any("terminator arity" in v for v in validate(f))
@@ -400,20 +416,20 @@ def test_validate_terminator_arity():
 
 def test_validate_brif_equal_targets_unequal_args():
     blocks = (
-        Block(0, (0, 1), (), BrIf(0, 1, (0,), 1, (1,))),
-        Block(1, (2,), (), Ret(())),
+        Block(0, (0, 1), None, BrIf(0, 1, (0,), 1, (1,))),
+        Block(1, (2,), None, Ret(())),
     )
     f = Function("f", (0, 1), 0, blocks)
     assert any("brif targets equal" in v for v in validate(f))
     # One target with the same args on both branches is allowed.
-    same = Function("f", (0, 1), 0, (Block(0, (0, 1), (), BrIf(0, 1, (0,), 1, (0,))), blocks[1]))
+    same = Function("f", (0, 1), 0, (Block(0, (0, 1), None, BrIf(0, 1, (0,), 1, (0,))), blocks[1]))
     assert validate(same) == []
 
 
 def test_validate_unreachable_and_entry_preds():
     blocks = (
-        Block(0, (), (), Ret(())),
-        Block(1, (), (), Jump(0, ())),
+        Block(0, (), None, Ret(())),
+        Block(1, (), None, Jump(0, ())),
     )
     f = Function("f", (), 0, blocks)
     out = validate(f)
@@ -424,10 +440,10 @@ def test_validate_unreachable_and_entry_preds():
 def test_validate_use_not_dominated():
     # value defined on only one branch of a diamond, used at the merge
     blocks = (
-        Block(0, (0,), (), BrIf(0, 1, (), 2, ())),
-        Block(1, (), (Instruction("iconst", 1, (), 5),), Jump(3, ())),
-        Block(2, (), (), Jump(3, ())),
-        Block(3, (), (), Ret((1,))),
+        Block(0, (0,), None, BrIf(0, 1, (), 2, ())),
+        Block(1, (), Instruction("iconst", 1, (), 5), Jump(3, ())),
+        Block(2, (), None, Jump(3, ())),
+        Block(3, (), None, Ret((1,))),
     )
     f = Function("f", (0,), 0, blocks)
     assert any("not dominated" in v for v in validate(f))
@@ -436,24 +452,24 @@ def test_validate_use_not_dominated():
 @pytest.mark.parametrize(
     "params,block,violation",
     [
-        ((), Block(-1, (), (), Ret(())), "negative block id"),
-        ((0,), Block(0, (), (), Ret(())), "function params differ from entry block params"),
-        ((-1,), Block(0, (-1,), (), Ret((-1,))), "negative value id"),
-        ((), Block(0, (), (Instruction("bogus", 0),), Ret(())), "b0: unknown opcode 'bogus'"),
+        ((), Block(-1, (), None, Ret(())), "negative block id"),
+        ((0,), Block(0, (), None, Ret(())), "function params differ from entry block params"),
+        ((-1,), Block(0, (-1,), None, Ret((-1,))), "negative value id"),
+        ((), Block(0, (), Instruction("bogus", 0), Ret(())), "b0: unknown opcode 'bogus'"),
         (
             (0,),
-            Block(0, (0,), (Instruction("iadd", 1, (0,)),), Ret((1,))),
+            Block(0, (0,), Instruction("iadd", 1, (0,)), Ret((1,))),
             "b0: iadd expects 2 operands, got 1",
         ),
-        ((), Block(0, (), (Instruction("iconst", 0),), Ret((0,))), "b0: iconst without immediate"),
+        ((), Block(0, (), Instruction("iconst", 0), Ret((0,))), "b0: iconst without immediate"),
         (
             (),
-            Block(0, (), (Instruction("iconst", 0, (), 1 << 63),), Ret((0,))),
+            Block(0, (), Instruction("iconst", 0, (), 1 << 63), Ret((0,))),
             "b0: iconst immediate out of 64-bit range",
         ),
         (
             (0,),
-            Block(0, (0,), (Instruction("iadd", 1, (0, 0), 5),), Ret((1,))),
+            Block(0, (0,), Instruction("iadd", 1, (0, 0), 5), Ret((1,))),
             "b0: iadd carries an immediate",
         ),
     ],
@@ -637,12 +653,9 @@ def _gens(f):
     bit for a value defined more than once)."""
     bit = {}
     for b in f.blocks:
-        for v in (*b.params, *(instr.result for instr in b.instructions)):
+        for v in defined_by(b):
             bit.setdefault(v, 1 << len(bit))
-    values = {}
-    for bid in f.rpo:
-        b = f.block(bid)
-        values[bid] = sum({bit[v] for v in (*b.params, *(i.result for i in b.instructions))})
+    values = {bid: sum({bit[v] for v in defined_by(f.block(bid))}) for bid in f.rpo}
     return {bid: 1 << i for i, bid in enumerate(f.rpo)}, values
 
 
@@ -673,9 +686,10 @@ def test_must_dataflow_reads_an_acyclic_function_once_per_block(monkeypatch):
 
 
 def test_validate_names_each_duplicate_block_id_once():
-    ret = Block(0, (), (), Ret(()))
-    blocks = [ret, Block(2, (), (), Ret(())), Block(1, (), (), Ret(()))]
-    blocks += [Block(1, (), (), Ret(())), Block(2, (), (), Ret(())), Block(2, (), (), Ret(()))]
+    ret = Block(0, (), None, Ret(()))
+    blocks = [ret, Block(2, (), None, Ret(())), Block(1, (), None, Ret(()))]
+    blocks += [Block(1, (), None, Ret(())), Block(2, (), None, Ret(()))]
+    blocks += [Block(2, (), None, Ret(()))]
     f = Function("f", (), 0, tuple(blocks))
     assert validate(f) == ["duplicate block id b1", "duplicate block id b2"]
 
@@ -702,8 +716,7 @@ def test_remap_block_with_identity_maps_returns_an_equal_block():
     functions = list(load_corpus().values())
     functions += [random_function(rng, max_blocks=12) for _ in range(200)]
     for f in functions:
-        values = {v: v for b in f.blocks for v in b.params}
-        values.update((i.result, i.result) for b in f.blocks for i in b.instructions)
+        values = {v: v for b in f.blocks for v in defined_by(b)}
         blocks = {b.id: b.id for b in f.blocks}
         for b in f.blocks:
             assert ir.remap_block(b, values, blocks) == b, (f.name, b)

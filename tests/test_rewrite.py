@@ -44,7 +44,7 @@ from conftest import (
     saturated_path,
 )
 from generators import random_function
-from oracles import brute_matches, fixpoint_invariance
+from oracles import brute_matches, defined_by, fixpoint_invariance
 
 ADD_CONSTS = ExprPattern(
     "root", PatOp("iadd", (PatOp("iconst", imm="a"), PatOp("iconst", imm="b")))
@@ -437,8 +437,8 @@ def test_splicing_entry_that_passes_arguments_raises():
     # An argument-passing entry jump cannot become the entry; the refusal is
     # an explicit error, so it survives `python -O`.
     f = Function("f", (), 0, (
-        Block(0, (), (), Jump(1, (5,))),
-        Block(1, (5,), (), Ret((5,))),
+        Block(0, (), None, Jump(1, (5,))),
+        Block(1, (5,), None, Ret((5,))),
     ))
     with pytest.raises(ValueError, match="cannot splice entry block b0"):
         _Editor(f).try_splice(0)
@@ -446,8 +446,8 @@ def test_splicing_entry_that_passes_arguments_raises():
 
 def test_splice_refuses_a_block_that_jumps_to_itself():
     f = Function("f", (), 0, (
-        Block(0, (), (), Jump(1, ())),
-        Block(1, (), (), Jump(1, ())),
+        Block(0, (), None, Jump(1, ())),
+        Block(1, (), None, Jump(1, ())),
     ))
     ed = _Editor(f)
     assert ed.try_splice(1) is False
@@ -674,7 +674,7 @@ def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch):
         outs = constfold(s)
         if outs:
             f = s.function
-            expected.extend(v for b in f.blocks for v in (*b.params, *b.instructions))
+            expected.extend(_defined(f))
         return outs
 
     monkeypatch.setitem(RULES, "constfold", RewriteRule("constfold", counted))
@@ -697,7 +697,7 @@ def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch):
 
 
 def _defined(f):
-    return [v for b in f.blocks for v in (*b.params, *(i.result for i in b.instructions))]
+    return [v for b in f.blocks for v in defined_by(b)]
 
 
 def _sparse_parsed_functions():

@@ -4,6 +4,7 @@ dropped, before a traced benchmark run crashes on it. One more pins the
 benchmark's inputs to the ones its newest record was taken on."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -11,7 +12,7 @@ import json
 import types
 from pathlib import Path
 
-from epathopt import ESequence, cli, from_function, rewrite, saturate
+from epathopt import Block, ESequence, cli, from_function, rewrite, saturate
 from epathopt.analysis import Analyses
 from epathopt.epath import EPath
 from conftest import CORPUS_DIR
@@ -103,6 +104,23 @@ def test_only_ir_reads_the_terminators_fields():
             if isinstance(node, ast.Attribute) and node.attr in TERMINATOR_FIELDS
         }
         assert not read, f"{path.name} reads {sorted(read)}"
+
+
+def test_a_block_has_one_instruction_and_no_module_reads_instructions():
+    # The ANF restriction is `Block`'s type: one `instruction`, or None. No
+    # reader or writer is left of the tuple it replaced.
+    fields = [f.name for f in dataclasses.fields(Block)]
+    assert fields == ["id", "params", "instruction", "terminator"]
+    sources = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    assert len(sources) >= 20
+    for path in sources:
+        uses = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "instructions"
+            or isinstance(node, ast.keyword) and node.arg == "instructions"
+        ]
+        assert not uses, f"{path.relative_to(ROOT)} uses `instructions` on lines {uses}"
 
 
 def test_rules_read_only_their_sequence_and_from_function_has_one_mode():
