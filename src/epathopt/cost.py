@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .epath import EPath
 from .esequence import ESequence, analyze
-from .ir import OPCODE_ARITY, logical_lines, parse_integer
+from .ir import OPCODE_ARITY, logical_lines, parse_integer, render_parts
 from .ir import print_function  # noqa: F401  kept by name: perfbench/tracer.py wraps it here
 
 
@@ -148,10 +148,14 @@ def rank_by_cost(
     variants: list[ESequence], table: CostTable | None = None
 ) -> list[tuple[ESequence, CostPoly]]:
     """Each variant with its cost, computed once, in ascending cost in the
-    order of `compare`, ties broken by canonical printed form (`s.text`)."""
+    order of `compare`, ties broken by canonical printed form (`s.text`).
+    The tie-break compares the parts `s.text` is joined from, which order
+    as it does, so no variant's text is joined."""
     table = table or default_cost_table()
     ranked = [(s, cost_of(s, table)) for s in variants]
-    ranked.sort(key=lambda pair: (_order_key(pair[1]), pair[0].text))
+    ranked.sort(
+        key=lambda pair: (_order_key(pair[1]), render_parts("s", pair[0].params, pair[0].blocks))
+    )
     return ranked
 
 

@@ -2,8 +2,11 @@
 
 Every basic block holds at most one instruction plus a parameterized
 terminator: `Block.instruction` is one `Instruction` or None, and the
-grammar below admits no second instruction line. Values are in SSA form
-realized with block parameters instead of phi nodes. The textual grammar:
+grammar below admits no second instruction line. An `Instruction` is
+well-formed by its type as well (a known opcode, its operand count, an
+in-range immediate on `iconst` alone), so validation checks only the
+graph. Values are in SSA form realized with block parameters instead of
+phi nodes. The textual grammar:
 
     file      := func+
     func      := "func" "@" ident "(" valuelist? ")" "{" block+ "}"
@@ -69,12 +72,29 @@ def wrap64(x: int) -> int:
 
 @dataclass(frozen=True)
 class Instruction:
-    """A single operation. `imm` is set exactly for `iconst`."""
+    """A single operation, well-formed by construction: a known opcode with
+    as many operands as `OPCODE_ARITY` gives it, and `imm`, a 64-bit
+    integer, set exactly for `iconst`. Any other shape raises ValueError
+    when built, so no reader of an instruction checks its shape."""
 
     opcode: str
     result: ValueId
     operands: tuple[ValueId, ...] = ()
     imm: int | None = None
+
+    def __post_init__(self):
+        arity = OPCODE_ARITY.get(self.opcode)
+        if arity is None:
+            raise ValueError(f"unknown opcode {self.opcode!r}")
+        if len(self.operands) != arity:
+            raise ValueError(f"{self.opcode} expects {arity} operands, got {len(self.operands)}")
+        if self.opcode != "iconst":
+            if self.imm is not None:
+                raise ValueError(f"{self.opcode} carries an immediate")
+        elif self.imm is None:
+            raise ValueError("iconst without immediate")
+        elif not I64_MIN <= self.imm <= I64_MAX:
+            raise ValueError("iconst immediate out of 64-bit range")
 
 
 @dataclass(frozen=True)
@@ -657,18 +677,30 @@ def render_block(block: Block) -> list[str]:
 
 def render_function(name: str, params, blocks) -> str:
     """The text format of one function: `blocks` holds its `Block`s in the
-    order they are written. Each block's lines come from `render_block` on
+    order they are written. The text is `render_parts` joined by newlines."""
+    return "\n".join(render_parts(name, params, blocks))
+
+
+def render_parts(name: str, params, blocks) -> list[str]:
+    """The parts of `render_function`'s text: the header line, each block's
+    text and the closing "}". A block's lines come from `render_block` on
     its first print and are kept on the block as one text, so a block that
-    many functions share is rendered once."""
-    lines = [f"func @{name}({', '.join(map(render_value, params))}) {{"]
+    many functions share is rendered once.
+
+    Compared as lists, the parts of two functions order exactly as their
+    joined texts do, so they sort functions by text without joining it: a
+    block text ends with its terminator line, so it is never a prefix of
+    another followed by a newline, and "}" sorts after the "b" that begins
+    every block text."""
+    parts = [f"func @{name}({', '.join(map(render_value, params))}) {{"]
     for block in blocks:
         text = block._text
         if text is None:
             text = "\n".join(render_block(block))
             object.__setattr__(block, "_text", text)
-        lines.append(text)
-    lines.append("}")
-    return "\n".join(lines)
+        parts.append(text)
+    parts.append("}")
+    return parts
 
 
 def print_function(f: Function) -> str:
@@ -682,10 +714,13 @@ def print_function(f: Function) -> str:
 
 def validate(f: Function) -> list[str]:
     """Return every violated IR invariant, one found inside a block prefixed
-    with its name ("bN: "); an empty list means valid. The ANF restriction
-    is not among them: `Block` holds one instruction or none by its type. A
-    function is checked once: later calls return a copy of its kept verdict,
-    `f.violations`."""
+    with its name ("bN: "); an empty list means valid. The invariants are
+    the graph's: block and value ids, the entry's params, single
+    definitions, edges and their argument counts, reachability and
+    dominance of every use. No shape rule is among them: `Block` holds one
+    instruction or none, and `Instruction` refuses a malformed shape when
+    built, both by their types. A function is checked once: later calls
+    return a copy of its kept verdict, `f.violations`."""
     return list(f.violations)
 
 
@@ -734,23 +769,6 @@ def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
     entry_has_preds = False
     blocks = sorted(f.blocks, key=lambda blk: blk.id)
     for b in blocks:
-        if (instr := b.instruction) and instr.opcode not in OPCODE_ARITY:
-            violations.append(f"b{b.id}: unknown opcode {instr.opcode!r}")
-        elif instr:
-            arity = OPCODE_ARITY[instr.opcode]
-            if len(instr.operands) != arity:
-                violations.append(
-                    f"b{b.id}: {instr.opcode} expects {arity} operands, "
-                    f"got {len(instr.operands)}"
-                )
-            if instr.opcode == "iconst":
-                if instr.imm is None:
-                    violations.append(f"b{b.id}: iconst without immediate")
-                elif not I64_MIN <= instr.imm <= I64_MAX:
-                    violations.append(f"b{b.id}: iconst immediate out of 64-bit range")
-            elif instr.imm is not None:
-                violations.append(f"b{b.id}: {instr.opcode} carries an immediate")
-
         for target, args in terminator_targets(b.terminator):
             if target not in by_id:
                 violations.append(f"b{b.id}: jump to undefined block b{target}")
@@ -819,6 +837,8 @@ def _use_violation(b: Block, v: ValueId, bit: dict[ValueId, int]) -> str:
 
 def interpret(f: Function, args: list[int], fuel: int) -> InterpResult:
     """Small-step execution; each entered block consumes one unit of fuel.
+    Every instruction is well-formed by its type, so an `iconst` yields its
+    immediate as is.
 
     A run that enters a block in a state it was in before (same block, same
     incoming arguments, same values) stops at once with `FuelExhausted`: the
@@ -875,7 +895,7 @@ def interpret(f: Function, args: list[int], fuel: int) -> InterpResult:
 def _step(instr: Instruction, env: dict, effects: list) -> int:
     op = instr.opcode
     if op == "iconst":
-        return wrap64(instr.imm)
+        return instr.imm
     if op == "sideeffect":
         value = env[instr.operands[0]]
         effects.append(("eff", value))

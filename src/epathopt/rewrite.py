@@ -423,13 +423,16 @@ def _fold(f: Function, chains: dict, p: ExprPattern, m: dict[str, int]) -> Rewri
             dead.append(block)
             footprint.update(f.preds[block])
             footprint.update(_targets(f.block(block).terminator))
-    folded = Instruction("iconst", m["root"], (), fold_constants(p.tree.opcode, m["a"], m["b"]))
-    return Rewrite(("constfold", root), footprint, partial(_fold_at, f, root, folded, dead))
+    fold = partial(fold_constants, p.tree.opcode, m["a"], m["b"])
+    return Rewrite(("constfold", root), footprint, partial(_fold_at, f, root, fold, dead))
 
 
-def _fold_at(f: Function, root: BlockId, folded: Instruction, dead: list) -> _Editor:
+def _fold_at(f: Function, root: BlockId, fold: Callable[[], int], dead: list) -> _Editor:
+    """The edit of a fold: `root`'s instruction becomes `iconst fold()`,
+    computed and built only when the output is made, and each `dead` block
+    is spliced out where `_Editor.try_splice` allows it."""
     ed = _Editor(f)
-    ed.set_instruction(root, folded)
+    ed.set_instruction(root, Instruction("iconst", f.block(root).instruction.result, (), fold()))
     for bid in dead:
         ed.try_splice(bid)
     return ed
@@ -447,8 +450,8 @@ def apply_broken(s: ESequence) -> list[Rewrite]:
     for b in s.blocks:
         instr = b.instruction
         if instr and instr.opcode == "iconst":
-            bumped = Instruction("iconst", instr.result, (), wrap64(instr.imm + 1))
-            return [Rewrite(None, (), partial(_fold_at, s.function, b.id, bumped, ()))]
+            bump = partial(wrap64, instr.imm + 1)
+            return [Rewrite(None, (), partial(_fold_at, s.function, b.id, bump, ()))]
     return []
 
 

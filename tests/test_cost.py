@@ -23,7 +23,7 @@ from epathopt import (
     to_function,
 )
 from epathopt import cost
-from conftest import load_corpus
+from conftest import load_corpus, saturated_path
 from oracles import per_block_cost
 
 RULES = rules_named(["licm", "constfold"])
@@ -72,10 +72,10 @@ def test_compare_antisymmetric(a, b):
 @given(coeff_lists, coeff_lists)
 def test_compare_agrees_with_sort_by_cost(a, b):
     pa, pb = CostPoly(tuple(a)), CostPoly(tuple(b))
-    # Stand-ins for two sequences with these costs. `a`'s text sorts after
-    # `b`'s, so on a tie `b` goes first and `a` goes first exactly when its
-    # cost is lower.
-    seq_a, seq_b = SimpleNamespace(text="a"), SimpleNamespace(text="")
+    # Stand-ins for two sequences with these costs. `a`'s text,
+    # "func @s(v0) {\n}", sorts after `b`'s, "func @s() {\n}", so on a tie
+    # `b` goes first and `a` goes first exactly when its cost is lower.
+    seq_a, seq_b = SimpleNamespace(params=(0,), blocks=()), SimpleNamespace(params=(), blocks=())
     costs = {id(seq_a): pa, id(seq_b): pb}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cost, "cost_of", lambda s, table: costs[id(s)])
@@ -261,3 +261,30 @@ def test_sort_by_cost_matches_compare_then_text(corpus):
     for name in corpus:
         variants = saturated(name).variants()
         assert sort_by_cost(variants) == sorted(variants, key=cmp_to_key(cmp)), name
+
+
+def test_tie_break_orders_as_the_text_without_joining_it(
+    monkeypatch, saturated, perfbench_workloads
+):
+    # `rank_by_cost` breaks cost ties by the parts `s.text` is joined from:
+    # they order every variant exactly as its text does, and ranking joins
+    # no text.
+    import epathopt.esequence as esequence
+    import epathopt.ir as ir
+
+    paths = [p for _f, p in saturated.values()]
+    for workload in ("folds", "loops", "fuzz"):
+        cases = perfbench_workloads.generate(workload, 1)
+        paths += [saturated_path(parse_function(case.text)) for case in cases]
+    variants = [s for p in paths for s in p.variants()]
+    parts = {id(s): ir.render_parts("s", s.params, s.blocks) for s in variants}
+    by_parts = sorted(variants, key=lambda s: parts[id(s)])
+    assert [s.text for s in by_parts] == sorted(s.text for s in variants)
+    assert len({tuple(x) for x in parts.values()}) == len({s.text for s in variants})
+
+    joined = []
+    for module in (ir, esequence):
+        monkeypatch.setattr(module, "render_function", lambda *args: joined.append(args))
+    for p in paths:
+        cost.rank_by_cost(p.variants())
+    assert joined == [] and len(variants) > 3000

@@ -455,28 +455,29 @@ def test_validate_use_not_dominated():
         ((), Block(-1, (), None, Ret(())), "negative block id"),
         ((0,), Block(0, (), None, Ret(())), "function params differ from entry block params"),
         ((-1,), Block(0, (-1,), None, Ret((-1,))), "negative value id"),
-        ((), Block(0, (), Instruction("bogus", 0), Ret(())), "b0: unknown opcode 'bogus'"),
-        (
-            (0,),
-            Block(0, (0,), Instruction("iadd", 1, (0,)), Ret((1,))),
-            "b0: iadd expects 2 operands, got 1",
-        ),
-        ((), Block(0, (), Instruction("iconst", 0), Ret((0,))), "b0: iconst without immediate"),
-        (
-            (),
-            Block(0, (), Instruction("iconst", 0, (), 1 << 63), Ret((0,))),
-            "b0: iconst immediate out of 64-bit range",
-        ),
-        (
-            (0,),
-            Block(0, (0,), Instruction("iadd", 1, (0, 0), 5), Ret((1,))),
-            "b0: iadd carries an immediate",
-        ),
     ],
 )
 def test_validate_flags_malformed_built_functions(params, block, violation):
     f = Function("f", params, block.id, (block,))
     assert validate(f) == [violation]
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (("bogus", 0), "unknown opcode 'bogus'"),
+        (("iadd", 1, (0,)), "iadd expects 2 operands, got 1"),
+        (("iconst", 0), "iconst without immediate"),
+        (("iconst", 0, (), 1 << 63), "iconst immediate out of 64-bit range"),
+        (("iadd", 1, (0, 0), 5), "iadd carries an immediate"),
+    ],
+)
+def test_instruction_refuses_a_malformed_shape_when_built(fields, message):
+    # An instruction is well-formed by its type, so `validate` has no shape
+    # rule: no malformed instruction reaches a block.
+    with pytest.raises(ValueError) as exc:
+        Instruction(*fields)
+    assert str(exc.value) == message
 
 
 def test_validate_corpus_all_clean():

@@ -768,3 +768,28 @@ def test_each_stored_variant_builds_its_definition_map_at_most_once(
         assert len(set(ids)) == len(ids) and set(ids) <= stored, f.name
         total += len(ids)
     assert total >= 640, total
+
+
+def test_constfold_computes_a_fold_only_for_an_output_it_makes(monkeypatch, perfbench_workloads):
+    # Most constfold outputs of the `folds` inputs are predicted duplicates,
+    # never made: each made output computes its fold and builds its
+    # instruction in its edit, the others compute nothing.
+    import epathopt.rewrite as rewrite
+
+    folds, outputs = [], []
+
+    def counted(*args):
+        folds.append(args)
+        return fold_constants(*args)
+
+    def constfold(s):
+        out = apply_const_fold(s)
+        outputs.extend(out)
+        return out
+
+    monkeypatch.setattr(rewrite, "fold_constants", counted)
+    rules = [RULES["licm"], RewriteRule("constfold", constfold)]
+    for case in perfbench_workloads.generate("folds", 1):
+        assert saturate(EPath(from_function(parse_function(case.text))), rules).reached_fixed_point
+    made = [out for out in outputs if "sequence" in vars(out)]
+    assert len(folds) == len(made) < len(outputs) / 2

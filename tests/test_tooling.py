@@ -9,6 +9,8 @@ import hashlib
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -121,6 +123,27 @@ def test_a_block_has_one_instruction_and_no_module_reads_instructions():
             or isinstance(node, ast.keyword) and node.arg == "instructions"
         ]
         assert not uses, f"{path.relative_to(ROOT)} uses `instructions` on lines {uses}"
+
+
+def test_validation_has_no_instruction_shape_rule():
+    # An `Instruction` is well-formed by its type, so the check behind
+    # `validate` reads no opcode, immediate or arity table.
+    ir_path = Path(cli.__file__).parent / "ir.py"
+    tree = ast.parse(ir_path.read_text(), str(ir_path))
+    [check] = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_find_violations"
+    ]
+    read = sorted(
+        {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(check)
+            if isinstance(node, ast.Attribute) and node.attr in ("opcode", "imm")
+            or isinstance(node, ast.Name) and node.id == "OPCODE_ARITY"
+        }
+    )
+    assert not read, read
 
 
 def test_rules_read_only_their_sequence_and_from_function_has_one_mode():
@@ -247,3 +270,22 @@ def test_benchmark_inputs_match_the_newest_record(perfbench_workloads):
         texts = "".join(case.text for case in perfbench_workloads.generate(workload, 1))
         digest = hashlib.blake2b(texts.encode(), digest_size=8).hexdigest()
         assert digest == recorded[workload]["input_digest"], (newest.name, workload)
+
+
+def test_cli_matrix_prints_one_stable_line_per_run():
+    # `tests/cli_matrix.py` is how two checkouts' CLI behaviour is compared:
+    # its lines must not depend on the run.
+    files = ["tests/corpus/identity.ir", "tests/corpus/reject/irreducible.ir"]
+    command = [sys.executable, str(ROOT / "tests" / "cli_matrix.py"), *files]
+    runs = [
+        subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=60, check=True)
+        for _ in range(2)
+    ]
+    assert runs[0].stdout == runs[1].stdout and not runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 12
+    assert lines[0].startswith("tests/corpus/identity.ir opt: exit 0 stdout ")
+    assert lines[-1].startswith(
+        "tests/corpus/reject/irreducible.ir check --args 3 --fuel 30 --rules "
+        "licm,constfold,broken: exit 2 stdout "
+    )
