@@ -4,8 +4,9 @@ the reverse-postorder positions of the immediate dominators that
 validation's one solve leaves on it (`idom_positions`), compared by
 position; `dominators`, the `{block: idom}` map, for callers that want
 one; and `def_use`, the def-use chains, built only when called (no stored
-variant keeps them): constant folding calls it for its feeders' uses, and
-reads where each value is defined from the function's `defs`.
+variant keeps them, and no rule calls it: constant folding reads its
+feeders' uses from its own compact map, and where each value is defined
+from the function's `defs`).
 
 Only reducible control flow is supported; irreducible graphs raise
 IrreducibleError rather than being silently mishandled.
@@ -212,8 +213,8 @@ class Analyses:
     Read-only: `ESequence.analyses` caches one bundle per sequence. It holds
     only what it computes; the walks `rpo` and `preds` and the definition
     map `defs` are read off `function`, the back edges are the loops'
-    `back_edges`, and the one rule that needs uses, constant folding, calls
-    `def_use`.
+    `back_edges`, and the one rule that needs uses, constant folding, lists
+    them itself.
     """
 
     function: Function

@@ -28,6 +28,7 @@ from .ir import (
     Block,
     Function,
     ValueId,
+    ids_below,
     print_function,
     remap_block,
     render_block,
@@ -114,7 +115,11 @@ def from_function(f: Function) -> ESequence:
     renamed, so an invalid `f` that uses a value before defining it still
     canonicalizes. A block `f` shares with a canonical source keeps its
     renamings and its text, so renaming it under a map seen before, or
-    under none, builds and prints nothing.
+    under none, builds and prints nothing. When the largest block and value
+    ids such a block names lie below the first reverse-postorder position
+    that is not its own id and the first value whose new number differs,
+    every id it names is its own image, and `ids_below` keeps the block
+    without a `remap_block` call.
 
     Validity and reducibility do not depend on names, so `f` is checked
     only when the sequence's `function` and `analyses` are first read, in
@@ -134,7 +139,15 @@ def from_function(f: Function) -> ESequence:
             if instr := block.instruction:
                 value_map[instr.result] = len(value_map)
         params = tuple(value_map[v] for v in f.params)
-        blocks = tuple(remap_block(block, value_map, block_map) for block in source)
+        # Every block id and value id below these is its own image.
+        same_blocks = next((new for new, old in enumerate(rpo) if new != old), len(rpo))
+        same_values = next((new for old, new in value_map.items() if new != old), len(value_map))
+        blocks = tuple(
+            block
+            if ids_below(block, same_blocks, same_values)
+            else remap_block(block, value_map, block_map)
+            for block in source
+        )
     except KeyError:
         blocks = None
     if blocks is None or len(rpo) != len(f.blocks):

@@ -5,7 +5,8 @@ terminator: `Block.instruction` is one `Instruction` or None, and the
 grammar below admits no second instruction line. An `Instruction` is
 well-formed by its type as well (a known opcode, its operand count, an
 in-range immediate on `iconst` alone), so validation checks only the
-graph. Values are in SSA form realized with block parameters instead of
+graph, and the parser judges an instruction line's shape by building it.
+Values are in SSA form realized with block parameters instead of
 phi nodes. The textual grammar:
 
     file      := func+
@@ -128,8 +129,9 @@ class Block:
 
     A block is immutable, so it may keep what is derived from it: its text,
     once `render_function` has printed it, and, if `remap_block` built it,
-    the blocks its renamings built. Neither is a field, so equality,
-    hashing, repr and `dataclasses.replace` ignore them.
+    the blocks its renamings built and the largest ids it names. None is a
+    field, so equality, hashing, repr and `dataclasses.replace` ignore
+    them.
     """
 
     id: BlockId
@@ -139,6 +141,7 @@ class Block:
 
     _text = None  # "\n".join(render_block(self)), set on first print
     _renamings = None  # on blocks `remap_block` built: () until it keeps a renaming
+    _largest = None  # on blocks `remap_block` built: set by `ids_below` on first use
 
 
 @dataclass(frozen=True)
@@ -463,21 +466,22 @@ class _LineScanner:
 
 
 def _parse_instruction(line: _LineScanner) -> Instruction:
+    """An instruction line. Its shape is judged by `Instruction` itself: a
+    ValueError it raises becomes the ParseError at the opcode's column."""
     result = line.value()
     line.take("=")
     opcode = line.word()
-    arity = OPCODE_ARITY.get(opcode)
-    if arity is None:
-        raise line.error(f"unknown opcode {opcode!r}")
+    at = line.pos - len(opcode) + 1
     imm, operands = None, ()
     if opcode == "iconst":
         imm = line.immediate()
     else:
         operands = line.valuelist()
     line.expect_end()
-    if len(operands) != arity:
-        raise line.error(f"{opcode} expects {arity} operands, got {len(operands)}")
-    return Instruction(opcode, result, operands, imm)
+    try:
+        return Instruction(opcode, result, operands, imm)
+    except ValueError as exc:
+        raise ParseError(str(exc), line.line_no, at) from None
 
 
 def _parse_terminator(line: _LineScanner) -> Terminator:
@@ -719,27 +723,34 @@ def validate(f: Function) -> list[str]:
     definitions, edges and their argument counts, reachability and
     dominance of every use. No shape rule is among them: `Block` holds one
     instruction or none, and `Instruction` refuses a malformed shape when
-    built, both by their types. A function is checked once: later calls
-    return a copy of its kept verdict, `f.violations`."""
+    built, both by their types. The check is one walk of the blocks, one
+    dataflow solve and one pass over the uses (`_find_violations`). A
+    function is checked once: later calls return a copy of its kept
+    verdict, `f.violations`."""
     return list(f.violations)
 
 
 def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
     """The check behind `validate`, and the dominators it finds on the way
-    (`Function.idom_positions`): reachability from `f.rpo`, then one
-    `must_dataflow` solve whose gen masks hold a bit per value and, above
-    them, a bit per block, so it yields available values and dominators
-    together. A reached block's input then holds its strict dominators in
-    its block bits; the entry's is among them for every block but the entry,
-    so the input's highest bit is the immediate dominator's. It builds no
-    predecessor map (edges into the entry are noted in its scan of the
-    terminators), so a function that is validated but never analyzed keeps
-    only its reverse postorder and the dominator positions. A duplicate or
-    negative block id, an undefined entry or a jump to an undefined block
-    stops the check before the walk, and no positions are returned."""
+    (`Function.idom_positions`). After the block ids, one walk of `f.rpo`,
+    then of the blocks it does not reach, counts every definition, checks
+    every edge and builds the gen masks of the one `must_dataflow` solve:
+    bit i for the block `f.rpo[i]` and, above the block bits, a bit per
+    value, so the solve yields dominators and available values together. A
+    reached block's input holds its strict dominators in its block bits;
+    the entry's is among them for every block but the entry, so the highest
+    block bit is the immediate dominator's. One pass over the reached
+    blocks' uses follows. It builds no predecessor map, so a function that
+    is validated but never analyzed keeps only its reverse postorder and
+    the dominator positions. A duplicate or negative block id, an undefined
+    entry or a jump to an undefined block stops the check before the solve,
+    and no positions are returned; a DFS that meets such a jump raises
+    KeyError, and then the walk takes every block as unreached. Messages
+    come in a fixed order: the block ids, the entry's params, definitions,
+    each block's edges, edges into the entry, unreached blocks and each
+    block's uses, the blocks in ascending id."""
     violations: list[str] = []
     by_id = f._by_id
-
     ids = [b.id for b in f.blocks]
     twice = {i for i in ids if ids.count(i) > 1} if len(by_id) < len(ids) else ()
     violations += [f"duplicate block id b{bid}" for bid in sorted(twice)]
@@ -749,80 +760,71 @@ def _find_violations(f: Function) -> tuple[list[str], tuple[int, ...] | None]:
         violations.append(f"entry b{f.entry} not defined")
     if violations:
         return violations, None
-
     if f.params != by_id[f.entry].params:
         violations.append("function params differ from entry block params")
 
-    # Definition sites: block params and instruction results.
-    defs: dict[ValueId, int] = {}
-    for b in f.blocks:
-        for v in b.params:
-            defs[v] = defs.get(v, 0) + 1
-        if instr := b.instruction:
-            defs[instr.result] = defs.get(instr.result, 0) + 1
-    for v in sorted(v for v, n in defs.items() if n > 1):
-        violations.append(f"{render_value(v)}: defined more than once")
-    if min(defs, default=0) < 0:
-        violations.append("negative value id")
-
-    targets_ok = True
-    entry_has_preds = False
-    blocks = sorted(f.blocks, key=lambda blk: blk.id)
-    for b in blocks:
+    try:
+        rpo = f.rpo
+    except KeyError:  # a reached jump to an undefined block: the walk reports it
+        rpo = []
+    n = len(rpo)
+    unreached = by_id.keys() - set(rpo)
+    walk = [by_id[bid] for bid in (*rpo, *unreached)]
+    bit: dict[ValueId, int] = {}
+    defined_twice: set[ValueId] = set()
+    gen: dict[BlockId, int] = {}
+    faults: list[tuple[BlockId, str]] = []
+    entry_has_preds = undefined = False
+    for i, b in enumerate(walk):
+        mask = 1 << i if i < n else 0
+        for v in b.params + (instr.result,) if (instr := b.instruction) else b.params:
+            if v in bit:
+                defined_twice.add(v)
+            else:
+                bit[v] = 1 << (n + len(bit))
+            mask |= bit[v]
+        gen[b.id] = mask
         for target, args in terminator_targets(b.terminator):
-            if target not in by_id:
-                violations.append(f"b{b.id}: jump to undefined block b{target}")
-                targets_ok = False
+            if (t := by_id.get(target)) is None:
+                faults.append((b.id, f"b{b.id}: jump to undefined block b{target}"))
+                undefined = True
                 continue
             entry_has_preds |= target == f.entry
-            if len(args) != len(by_id[target].params):
-                violations.append(
-                    f"b{b.id}: terminator arity: b{target} expects "
-                    f"{len(by_id[target].params)} args, got {len(args)}"
-                )
+            if len(args) != len(t.params):
+                expects = f"b{target} expects {len(t.params)} args, got {len(args)}"
+                faults.append((b.id, f"b{b.id}: terminator arity: {expects}"))
         if edges_conflict(b.terminator):
-            violations.append(f"b{b.id}: brif targets equal but args differ")
+            faults.append((b.id, f"b{b.id}: brif targets equal but args differ"))
 
-    if not targets_ok:
+    violations += [f"{render_value(v)}: defined more than once" for v in sorted(defined_twice)]
+    if min(bit, default=0) < 0:
+        violations.append("negative value id")
+    violations += [message for _, message in sorted(faults, key=lambda fault: fault[0])]
+    if undefined:
         return violations, None
-
-    # Reachability and predecessor structure.
-    reachable = set(f.rpo)
     if entry_has_preds:
         violations.append(f"entry block b{f.entry} has predecessors")
-    for bid in sorted(set(ids) - reachable):
-        violations.append(f"b{bid}: unreachable")
+    violations += [f"b{bid}: unreachable" for bid in sorted(unreached)]
 
-    # One solve: a use is legal iff its value is defined on every path from
-    # entry (equivalent to dominance under single definitions). Bit j stands
-    # for the j-th value of `defs`, bit len(defs) + i for the block f.rpo[i].
-    bit = {v: 1 << i for i, v in enumerate(defs)}
-    gen: dict[BlockId, int] = {}
-    for i, bid in enumerate(f.rpo, len(defs)):
-        b = by_id[bid]
-        mask = 1 << i
-        for v in b.params:
-            mask |= bit[v]
-        if instr := b.instruction:
-            mask |= bit[instr.result]
-        gen[bid] = mask
+    # A use is legal iff its value is defined on every path from the entry
+    # (equivalent to dominance under single definitions).
     avail_in = must_dataflow(f, gen)
-
-    for b in blocks:
-        if (scope := avail_in.get(b.id)) is None:
-            continue  # unreachable
-        for v in b.params:
-            scope |= bit[v]
+    uses: list[tuple[BlockId, str]] = []
+    for b in walk[:n]:
+        scope = avail_in[b.id]
         if instr := b.instruction:
             for v in instr.operands:
-                if not scope & bit.get(v, 0):
-                    violations.append(_use_violation(b, v, bit))
-            scope |= bit[instr.result]
-        for v in terminator_values(b.terminator):
+                if not (scope & bit.get(v, 0) or v in b.params):
+                    uses.append((b.id, _use_violation(b, v, bit)))
+        scope |= gen[b.id]
+        term = b.terminator
+        for v in (term.cond, *term.then_args, *term.else_args) if type(term) is BrIf else term.args:
             if not scope & bit.get(v, 0):
-                violations.append(_use_violation(b, v, bit))
-
-    return violations, tuple([max(avail_in[bid].bit_length() - len(defs) - 1, 0) for bid in f.rpo])
+                uses.append((b.id, _use_violation(b, v, bit)))
+    violations += [message for _, message in sorted(uses, key=lambda use: use[0])]
+    blocks_only = (1 << n) - 1
+    idoms = [max((avail_in[bid] & blocks_only).bit_length() - 1, 0) for bid in rpo]
+    return violations, tuple(idoms)
 
 
 def _use_violation(b: Block, v: ValueId, bit: dict[ValueId, int]) -> str:
@@ -934,16 +936,12 @@ def remap_block(
     each of them to itself returns the block, and a repeated key the block
     built first. A memo holds only blocks built from its own, so it forms
     no reference cycle. A parsed or written block is renamed once and keeps
-    nothing. A missing id raises KeyError."""
+    nothing. A missing id raises KeyError; `ids_below` tells, without a
+    call, that a renaming leaves a built block as it is."""
     memo = block._renamings
     if memo is None:
         return _renamed(block, value_map, block_map)
-    term = block.terminator
-    blocks = (block.id, *(target for target, _ in terminator_targets(term)))
-    values = [*block.params]
-    if i := block.instruction:
-        values += (i.result, *i.operands)
-    values += terminator_values(term)
+    blocks, values = _named_ids(block)
     key = (*map(block_map.__getitem__, blocks), *map(value_map.__getitem__, values))
     if key == (*blocks, *values):
         return block
@@ -952,6 +950,31 @@ def remap_block(
             object.__setattr__(block, "_renamings", memo := {})
         memo[key] = _renamed(block, value_map, block_map)
     return memo[key]
+
+
+def ids_below(block: Block, block_limit: BlockId, value_limit: ValueId) -> bool:
+    """Whether `block` is one `remap_block` built and names only block ids
+    below `block_limit` and value ids below `value_limit`. The largest of
+    each is worked out on the first call and kept on the block, so a block
+    that is never asked pays nothing."""
+    if block._renamings is None:
+        return False
+    if (largest := block._largest) is None:
+        blocks, values = _named_ids(block)
+        largest = (max(blocks), max(values, default=-1))
+        object.__setattr__(block, "_largest", largest)
+    return largest[0] < block_limit and largest[1] < value_limit
+
+
+def _named_ids(block: Block) -> tuple[tuple[BlockId, ...], list[ValueId]]:
+    """Every id `block` names: its own and its targets', then its values."""
+    term = block.terminator
+    blocks = (block.id, *(target for target, _ in terminator_targets(term)))
+    values = [*block.params]
+    if i := block.instruction:
+        values += (i.result, *i.operands)
+    values += terminator_values(term)
+    return blocks, values
 
 
 def _renamed(block: Block, value_map, block_map) -> Block:

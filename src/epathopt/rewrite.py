@@ -13,7 +13,10 @@ new digest. Rules:
 * ``constfold``: fold binary operations over two constants. It is a table
   of `ExprPattern`s, one per opcode, matched in one scan of the function by
   `_match_patterns`, the multi-pattern form of `match_expression` (kept
-  deliberately small, no general dead-code elimination).
+  deliberately small, no general dead-code elimination). When something
+  matched, one more scan, `_uses`, lists each value's uses as
+  `(block, in_instruction)` pairs, which is all a fold reads of them; no
+  rule builds `analysis.def_use`'s site objects.
 * ``broken``: deliberately unsound negative control for differential
   checking; never use outside tests or `check` runs.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
-from .analysis import Analyses, InstrUse, LoopRegion, def_use
+from .analysis import Analyses, LoopRegion
 from .esequence import ESequence, analyze, from_function
 from .ir import (
     Block,
@@ -40,6 +43,7 @@ from .ir import (
     fold_constants,
     retarget,
     terminator_targets,
+    terminator_values,
     wrap64,
 )
 
@@ -398,28 +402,43 @@ def apply_const_fold(s: ESequence) -> list[Rewrite]:
     `iconst fold_constants(op, a, b)`, and dead constant feeders are
     straightened out of the block chain where `_Editor.try_splice` allows
     it. It reads `s.function` only: `_fold` reads each definition's block
-    from `f.defs`, and the feeders' uses from the def-use chains, which are
-    built once, and only when some pattern matched."""
+    from `f.defs`, and the feeders' uses from `_uses`, which is built once,
+    and only when some pattern matched."""
     f = s.function
     found = _match_patterns(_CONSTFOLD, f)
-    chains = def_use(f) if any(found) else {}
-    return [_fold(f, chains, p, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
+    uses = _uses(f) if any(found) else {}
+    return [_fold(f, uses, p, m) for p, ms in zip(_CONSTFOLD, found) for m in ms]
 
 
-def _fold(f: Function, chains: dict, p: ExprPattern, m: dict[str, int]) -> Rewrite:
+def _uses(f: Function) -> dict[ValueId, list[tuple[BlockId, bool]]]:
+    """Each used value's uses as `(block, in_instruction)`, in one scan of
+    the blocks: the uses `analysis.def_use` lists, in its order for a
+    function whose blocks are in ascending id, without its site objects."""
+    uses: dict[ValueId, list[tuple[BlockId, bool]]] = {}
+    for b in f.blocks:
+        if instr := b.instruction:
+            for v in instr.operands:
+                uses.setdefault(v, []).append((b.id, True))
+        for v in terminator_values(b.terminator):
+            uses.setdefault(v, []).append((b.id, False))
+    return uses
+
+
+def _fold(f: Function, uses: dict, p: ExprPattern, m: dict[str, int]) -> Rewrite:
     """The output that folds `m`. The root's and each feeder's block are read
-    from `f.defs`, a feeder's uses from the def-use `chains`; a feeder read
-    only by the folded instruction is dead, and its block is spliced out
-    unless the splice is refused. The footprint holds the root, each
-    feeder's definition and uses, and each dead block's predecessors and
-    targets."""
+    from `f.defs`, a feeder's uses from `uses`, the map `_uses` builds; a
+    feeder read only by the folded instruction is dead, and its block is
+    spliced out unless the splice is refused. The footprint holds the root,
+    each feeder's definition and uses, and each dead block's predecessors
+    and targets."""
     root = f.defs[m["root"]]
     footprint = {root}
     dead = []
     for feeder in dict.fromkeys(f.block(root).instruction.operands):
-        block, uses = f.defs[feeder], chains[feeder][1]
-        footprint.update((block,), (u.block for u in uses))
-        if all(isinstance(u, InstrUse) and u.block == root for u in uses):
+        block, used = f.defs[feeder], uses[feeder]
+        footprint.add(block)
+        footprint.update([u for u, _ in used])
+        if used.count((root, True)) == len(used):  # read only by the root's instruction
             dead.append(block)
             footprint.update(f.preds[block])
             footprint.update(_targets(f.block(block).terminator))

@@ -28,6 +28,7 @@ from epathopt import (
     terminator_values,
     wrap64,
 )
+from epathopt.ir import edges_conflict, must_dataflow, render_value
 
 
 def defined_by(b):
@@ -378,6 +379,100 @@ def brute_validate(f):
                 flagged.add((b.id, v, v not in defining))
     unreachable = {b.id for b in f.blocks} - reachable
     return flagged, unreachable, any(t == f.entry for _, t in edges)
+
+
+def reference_find_violations(f):
+    """`ir._find_violations` as it was written before it became one walk: the
+    reference its messages, their order and its `idom_positions` must equal.
+    It scans the block ids, then counts definitions over `f.blocks`, checks
+    the edges of the blocks sorted by id, reads reachability off `f.rpo`,
+    and solves once with a bit per value and, above them, a bit per block."""
+    violations = []
+    by_id = {b.id: b for b in f.blocks}
+
+    ids = [b.id for b in f.blocks]
+    twice = {i for i in ids if ids.count(i) > 1} if len(by_id) < len(ids) else ()
+    violations += [f"duplicate block id b{bid}" for bid in sorted(twice)]
+    if min(ids, default=0) < 0:
+        violations.append("negative block id")
+    if not violations and f.entry not in by_id:
+        violations.append(f"entry b{f.entry} not defined")
+    if violations:
+        return violations, None
+
+    if f.params != by_id[f.entry].params:
+        violations.append("function params differ from entry block params")
+
+    defs = {}
+    for b in f.blocks:
+        for v in b.params:
+            defs[v] = defs.get(v, 0) + 1
+        if instr := b.instruction:
+            defs[instr.result] = defs.get(instr.result, 0) + 1
+    for v in sorted(v for v, n in defs.items() if n > 1):
+        violations.append(f"{render_value(v)}: defined more than once")
+    if min(defs, default=0) < 0:
+        violations.append("negative value id")
+
+    targets_ok = True
+    entry_has_preds = False
+    blocks = sorted(f.blocks, key=lambda blk: blk.id)
+    for b in blocks:
+        for target, args in terminator_targets(b.terminator):
+            if target not in by_id:
+                violations.append(f"b{b.id}: jump to undefined block b{target}")
+                targets_ok = False
+                continue
+            entry_has_preds |= target == f.entry
+            if len(args) != len(by_id[target].params):
+                violations.append(
+                    f"b{b.id}: terminator arity: b{target} expects "
+                    f"{len(by_id[target].params)} args, got {len(args)}"
+                )
+        if edges_conflict(b.terminator):
+            violations.append(f"b{b.id}: brif targets equal but args differ")
+
+    if not targets_ok:
+        return violations, None
+
+    reachable = set(f.rpo)
+    if entry_has_preds:
+        violations.append(f"entry block b{f.entry} has predecessors")
+    for bid in sorted(set(ids) - reachable):
+        violations.append(f"b{bid}: unreachable")
+
+    bit = {v: 1 << i for i, v in enumerate(defs)}
+    gen = {}
+    for i, bid in enumerate(f.rpo, len(defs)):
+        b = by_id[bid]
+        mask = 1 << i
+        for v in b.params:
+            mask |= bit[v]
+        if instr := b.instruction:
+            mask |= bit[instr.result]
+        gen[bid] = mask
+    avail_in = must_dataflow(f, gen)
+
+    def use_violation(b, v):
+        if v not in bit:
+            return f"b{b.id}: use of undefined value {render_value(v)}"
+        return f"b{b.id}: use of {render_value(v)} not dominated by its definition"
+
+    for b in blocks:
+        if (scope := avail_in.get(b.id)) is None:
+            continue
+        for v in b.params:
+            scope |= bit[v]
+        if instr := b.instruction:
+            for v in instr.operands:
+                if not scope & bit.get(v, 0):
+                    violations.append(use_violation(b, v))
+            scope |= bit[instr.result]
+        for v in terminator_values(b.terminator):
+            if not scope & bit.get(v, 0):
+                violations.append(use_violation(b, v))
+
+    return violations, tuple([max(avail_in[bid].bit_length() - len(defs) - 1, 0) for bid in f.rpo])
 
 
 def brute_interpret(f, args, fuel):

@@ -27,7 +27,7 @@ from epathopt import (
     to_function,
     validate,
 )
-from epathopt.ir import remap_block
+from epathopt.ir import ids_below, remap_block
 from conftest import corpus_paths, golden, load_corpus
 from generators import irreducible_function, mutate, random_function
 from oracles import (
@@ -304,6 +304,20 @@ def test_kept_renamings_and_texts_equal_a_fresh_canonicalization(saturated):
                     outputs += 1
     # Many output blocks are renamings recalled from a stored block's memo.
     assert outputs > len(saturated) and recalled > outputs
+
+
+def test_ids_below_reads_the_largest_ids_a_built_block_names():
+    f = parse_function(
+        "func @f(v0) {\nb0(v0):\n  v1 = iadd v0, v0\n  jump b1(v1)\n"
+        "b1(v2):\n  v3 = imul v2, v0\n  ret v3\n}"
+    )
+    b0, b1 = from_function(f).blocks
+    # b0 names blocks 0 and 1 (its target) and values up to v1; b1 names
+    # block 1 and values up to v3.
+    assert ids_below(b0, 2, 2) and not ids_below(b0, 1, 2) and not ids_below(b0, 2, 1)
+    assert ids_below(b1, 2, 4) and not ids_below(b1, 1, 4) and not ids_below(b1, 2, 3)
+    # A parsed block keeps nothing, so it is never kept as it is.
+    assert not ids_below(f.blocks[0], 99, 99)
 
 
 def test_a_canonical_block_renamed_three_ways():

@@ -24,7 +24,13 @@ from epathopt import (
 from epathopt import ir
 from conftest import CORPUS_DIR, argument_vectors, closure, corpus_paths, golden, load_corpus
 from generators import MUTATIONS, fold_function, mutate, random_function
-from oracles import brute_interpret, brute_validate, defined_by, reference_must_dataflow
+from oracles import (
+    brute_interpret,
+    brute_validate,
+    defined_by,
+    reference_find_violations,
+    reference_must_dataflow,
+)
 
 IDENTITY = "func @id(v0) {\nb0(v0):\n  ret v0\n}"
 
@@ -110,6 +116,9 @@ def test_parse_errors(text, fragment, line):
     [
         ("func @f(v0, v1) {\nb0(v0, v1):\n  ret v0 v1\n}", "trailing input: 'v1'", 3, 10),
         ("func @f() {\nb0()\n  ret\n}", "expected ':'", 2, 5),
+        # An instruction's shape is judged by `Instruction`, at the opcode.
+        ("func @f() {\nb0():\n  v0 = bogus v1\n  ret\n}", "unknown opcode 'bogus'", 3, 8),
+        ("func @f() {\nb0():\n  v0 =\tiadd v1\n  ret\n}", "iadd expects 2 operands, got 1", 3, 8),
         ("func @() {\nb0():\n  ret\n}", "expected identifier", 1, 7),
         (
             "func @f() {\nb0():",
@@ -693,6 +702,43 @@ def test_validate_names_each_duplicate_block_id_once():
     blocks += [Block(2, (), None, Ret(()))]
     f = Function("f", (), 0, tuple(blocks))
     assert validate(f) == ["duplicate block id b1", "duplicate block id b2"]
+
+
+def _malformed_graphs():
+    """Built functions whose check stops early, or that break several rules
+    at once, so that the order of the messages shows."""
+    ret = Block(0, (), None, Ret(()))
+    mixed = (
+        Block(0, (0, 1), None, BrIf(0, 2, (0,), 2, (1,))),
+        Block(2, (3,), Instruction("iadd", 3, (4, 1)), Jump(0, ())),
+        Block(1, (), Instruction("iconst", 1, (), 7), Jump(5, (3,))),
+        Block(5, (), Instruction("imul", 6, (6, 0)), Ret((1, 6))),
+    )
+    return [
+        Function("f", (), 0, (Block(0, (), None, Jump(7, ())),)),
+        Function("f", (), 0, (ret, Block(1, (), None, BrIf(0, 9, (), 1, (2,))))),
+        Function("f", (), 3, (ret,)),
+        Function("f", (), 0, (ret, Block(-2, (), None, Ret(())), ret)),
+        Function("f", (0,), 0, mixed),
+        Function("f", (0, 1), 0, mixed[:2] + (Block(1, (), None, Jump(2, ())),) + mixed[3:]),
+    ]
+
+
+def test_find_violations_equals_the_reference_checker(saturated):
+    # The one-walk checker against the scans it replaced: the same messages,
+    # in the same order, and the same dominator positions.
+    rng = random.Random(0xC4EC)
+    functions = list(load_corpus().values()) + _malformed_graphs()
+    functions += [s.function for _, path in saturated.values() for s in path.variants()]
+    for seed in range(2000):
+        f = random_function(random.Random(seed), max_blocks=12)
+        functions += [mutate(rng, f, kind) for kind in MUTATIONS]
+    flagged = 0
+    for f in functions:
+        expected = reference_find_violations(f)
+        assert ir._find_violations(f) == expected, print_function(f)
+        flagged += bool(expected[0])
+    assert flagged >= 4000, flagged
 
 
 def test_retarget_rewrites_only_the_edges_it_is_given():

@@ -9,6 +9,7 @@ from epathopt import (
     EPath,
     ExprPattern,
     Function,
+    InstrUse,
     IrreducibleError,
     Jump,
     PatOp,
@@ -34,7 +35,7 @@ from epathopt import (
     to_function,
 )
 from epathopt.ir import predecessors, render_block, render_function
-from epathopt.rewrite import _CONSTFOLD, _Editor, _hoist, _match_patterns, apply_broken
+from epathopt.rewrite import _CONSTFOLD, _Editor, _hoist, _match_patterns, _uses, apply_broken
 from conftest import (
     argument_vectors,
     assert_all_equivalent,
@@ -650,13 +651,16 @@ def test_footprint_holds_every_block_the_rewrite_changes(monkeypatch, saturated)
     assert changed > 50
 
 
-def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch):
+def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch, perfbench_workloads):
     # `def_use` looks its site classes up by name when it runs, so counting
-    # subclasses put in their place see every definition site it builds.
+    # subclasses put in their place see every site it builds. Constant
+    # folding reads its feeders' uses from `_uses`, so saturating builds
+    # none: neither on the looping corpus nor on the seed-1 `folds` inputs,
+    # where every call of constfold but the last on a path matches.
     import epathopt.analysis as analysis
 
     built = []
-    for name in ("ParamDef", "InstrDef"):
+    for name in ("ParamDef", "InstrDef", "InstrUse", "TermUse"):
         base = getattr(analysis, name)
 
         def __init__(self, *args, base=base):
@@ -665,31 +669,39 @@ def test_def_sites_are_built_only_for_the_folds_that_match(monkeypatch):
 
         monkeypatch.setattr(analysis, name, type(name, (base,), {"__init__": __init__}))
 
-    # One chain per definition of the function of each constfold call that
-    # returns outputs, and none for the calls that return nothing.
-    expected = []
+    matched = 0
     constfold = RULES["constfold"].apply
 
     def counted(s):
+        nonlocal matched
         outs = constfold(s)
-        if outs:
-            f = s.function
-            expected.extend(_defined(f))
+        matched += bool(outs)
         return outs
 
     monkeypatch.setitem(RULES, "constfold", RewriteRule("constfold", counted))
-    looping = [f for f in load_corpus().values() if Analyses.compute(f).loops]
-    for f in looping:
-        path = EPath(from_function(f))
-        saturate(path, rules_named(["licm"]))
-        assert built == [], f.name
-    folded = 0
-    for f in looping:
-        before = len(expected)
+    inputs = [f for f in load_corpus().values() if Analyses.compute(f).loops]
+    inputs += [parse_function(case.text) for case in perfbench_workloads.generate("folds", 1)]
+    for f in inputs:
         closure(f)
-        assert len(built) == len(expected), f.name
-        folded += len(expected) > before
-    assert folded >= 2
+        assert built == [], f.name
+    assert matched >= 510
+    # The counting sees the sites `def_use` builds when it is called.
+    def_use(inputs[-1])
+    assert {cls.__name__ for cls in built} == {"ParamDef", "InstrDef", "InstrUse", "TermUse"}
+
+
+def test_uses_map_lists_the_uses_def_use_lists(saturated):
+    # Canonical blocks are in ascending id, so the compact map lists each
+    # value's uses in `def_use`'s order.
+    functions = [s.function for _, path in saturated.values() for s in path.variants()]
+    assert len(functions) > 1000
+    for f in functions:
+        expected = {
+            v: [(u.block, isinstance(u, InstrUse)) for u in uses]
+            for v, (_, uses) in def_use(f).items()
+            if uses
+        }
+        assert _uses(f) == expected, print_function(f)
 
 
 # ---------------------------------------------------------------------------
